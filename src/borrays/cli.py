@@ -74,10 +74,16 @@ def _cmd_homcount(args, out):
     p = presentation(d)
     methods = ("enumerate", "burnside") if args.method == "both" else (args.method,)
     results = []
+    spent = 0  # --budget caps the nodes of both methods together
     for method in methods:
         counter = (count_classes_enumerate if method == "enumerate"
                    else count_classes_burnside)
-        results.append(counter(p, args.sym, budget=args.budget, threads=args.threads))
+        try:
+            r = counter(p, args.sym, budget=args.budget - spent)
+        except BudgetExceededError:
+            raise BudgetExceededError(args.budget) from None
+        spent += r.nodes
+        results.append(r)
     if len(results) == 2 and (
         results[0].class_count != results[1].class_count
         or results[0].total_homs != results[1].total_homs
@@ -87,16 +93,17 @@ def _cmd_homcount(args, out):
             f"burnside {results[1].class_count}"
         )
     for r in results:
-        label = args.expr if args.expr else args.file
-        out.write(
-            f"{label}  Sym({r.n})  classes: {r.class_count}  "
-            f"total: {r.total_homs}  method: {r.method}\n"
-        )
         if args.json:
             out.write(json.dumps(
                 {"n": r.n, "total": r.total_homs, "classes": r.class_count,
                  "method": r.method}
             ) + "\n")
+        else:
+            label = args.expr if args.expr else args.file
+            out.write(
+                f"{label}  Sym({r.n})  classes: {r.class_count}  "
+                f"total: {r.total_homs}  method: {r.method}\n"
+            )
     return 0
 
 
@@ -198,10 +205,8 @@ def _build_parser():
     )
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON result lines")
-    parser.add_argument("--threads", type=int, default=1, metavar="K",
-                        help="worker threads for homomorphism search (default 1)")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="NODES",
-                        help="cap on search nodes before aborting")
+                        help="cap on the search nodes of the whole command")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("present", help="print a tangle-complement presentation")

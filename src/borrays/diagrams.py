@@ -106,7 +106,9 @@ def validate(d: AnnularDiagram):
             )
         )
     for order, side in ((d.inner_order, "inner"), (d.outer_order, "outer")):
-        if sorted(order) != list(range(1, d.n_strands + 1)):
+        # The length test first: a huge n_strands must not build a huge list.
+        if (len(order) != d.n_strands
+                or sorted(order) != list(range(1, d.n_strands + 1))):
             kind = (
                 "duplicate-boundary"
                 if len(set(order)) != len(order)
@@ -139,9 +141,6 @@ def validate(d: AnnularDiagram):
             out.append(
                 Violation(kind, f"crossing {c} has passage roles {roles}")
             )
-    for c in seen:
-        if c not in d.signs:
-            pass  # already reported as unknown-crossing
     return out
 
 
@@ -341,17 +340,36 @@ def to_json(d: AnnularDiagram) -> str:
     return json.dumps(obj, indent=2)
 
 
-def from_json(text: str) -> AnnularDiagram:
-    obj = json.loads(text)
-    try:
-        d = _mk(
-            obj["n_strands"],
-            [[(p["c"], p["role"]) for p in s] for s in obj["strands"]],
-            {int(c): s for c, s in obj["signs"].items()},
-            obj["inner_order"],
-            obj["outer_order"],
+def _typed(value, kind, name):
+    """``value`` if it is a ``kind`` (booleans are not ints), else ValueError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            f"malformed diagram JSON: {name} must be {kind.__name__}, got {value!r}"
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed diagram JSON: {exc}") from exc
+    return value
+
+
+def from_json(text: str) -> AnnularDiagram:
+    obj = _typed(json.loads(text), dict, "the document")
+    try:
+        strands = [
+            [
+                (_typed(_typed(p, dict, "passage")["c"], int, "passage c"),
+                 _typed(p["role"], str, "passage role"))
+                for p in _typed(s, list, "strand")
+            ]
+            for s in _typed(obj["strands"], list, "strands")
+        ]
+        signs = {
+            int(c): _typed(s, int, "sign")
+            for c, s in _typed(obj["signs"], dict, "signs").items()
+        }
+        orders = [
+            [_typed(k, int, f"{side} entry") for k in _typed(obj[side], list, side)]
+            for side in ("inner_order", "outer_order")
+        ]
+        d = _mk(_typed(obj["n_strands"], int, "n_strands"), strands, signs, *orders)
+    except KeyError as exc:
+        raise ValueError(f"malformed diagram JSON: missing field {exc}") from exc
     _require_valid(d)
     return d

@@ -6,19 +6,26 @@ independent routes: explicit orbit partitioning of the enumerated
 homomorphism set, and a Burnside average over conjugacy-class
 representatives (counting homomorphisms into centralizers).
 
-The backtracking search runs on a compiled kernel when available
+Every count into a group (Sym(n) for the total, a centralizer for each
+Burnside term) factors out conjugation at the first two branching
+generators: the first ranges over one representative per conjugacy class
+of the group, the second over one representative per orbit of the first
+image's centralizer, each term weighted by its orbit sizes.  Enumeration
+stays unreduced, so it remains an independent cross-check.
+
+``budget`` caps the search nodes of a whole count, summed over its kernel
+calls.  The backtracking search runs on a compiled kernel when available
 (:mod:`borrays._homsearch`, built with Cython) and otherwise on the pure
 Python twin :mod:`borrays._homsearch_py`.  Set ``BORRAYS_PURE=1`` to force
 the fallback.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-from .errors import IntegrityError
+from .errors import BudgetExceededError, IntegrityError
 from .presentations import FinitePresentation
 
 if os.environ.get("BORRAYS_PURE"):
@@ -74,6 +81,7 @@ class HomClassCount:
     total_homs: int
     class_count: int
     method: str  # "enumerate" or "burnside"
+    nodes: int = 0  # search nodes the count spent
 
     def __post_init__(self):
         if self.total_homs:
@@ -152,34 +160,25 @@ def _sym(n):
     return sorted(permutations(range(n)))
 
 
-def _search(n, p, candidates, fixed, budget, collect, threads=1):
-    gens, _, relators, order = _compiled(p)
-    if not gens:
-        ok = all(not rel for rel in relators)
-        return (1 if ok else 0), ([()] if (ok and collect) else ([] if collect else None)), 0
-    if threads <= 1 or fixed:
-        return _kernel.search_homs(
-            n, len(gens), relators, order, candidates, fixed, budget, collect
-        )
-    # Deterministic fan-out: partition on the image of the first generator
-    # in assignment order; combine in candidate order.
-    g0 = order[0]
+class _Budget:
+    """One node counter shared by every kernel call of a count."""
 
-    def job(perm):
-        return _kernel.search_homs(
-            n, len(gens), relators, order, candidates, [(g0, perm)], budget, collect
-        )
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.spent = 0
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(job, candidates))
-    count = sum(r[0] for r in results)
-    nodes = sum(r[2] for r in results) + len(candidates)
-    homs = None
-    if collect:
-        homs = []
-        for r in results:
-            homs.extend(r[1])
-    return count, homs, nodes
+    def search(self, n, compiled, candidates, fixed, collect=False):
+        """Run the kernel on what is left of the budget; (count, homs)."""
+        gens, _, relators, order = compiled
+        try:
+            count, homs, nodes = _kernel.search_homs(
+                n, len(gens), relators, order, candidates, fixed,
+                self.limit - self.spent, collect,
+            )
+        except BudgetExceededError:
+            raise BudgetExceededError(self.limit) from None
+        self.spent += nodes
+        return count, homs
 
 
 def enumerate_homs(p: FinitePresentation, n: int, budget: int = DEFAULT_BUDGET):
@@ -187,7 +186,7 @@ def enumerate_homs(p: FinitePresentation, n: int, budget: int = DEFAULT_BUDGET):
 
     Each homomorphism is a dict mapping generator symbol to Permutation.
     """
-    _, homs, _ = _search(n, p, _sym(n), [], budget, collect=True)
+    _, homs = _Budget(budget).search(n, _compiled(p), _sym(n), [], collect=True)
     for hom in homs:
         yield {
             g: Permutation.from_zero_based(perm)
@@ -227,24 +226,55 @@ def conjugacy_classes(n: int):
     return out
 
 
-def count_total(p: FinitePresentation, n: int, budget: int = DEFAULT_BUDGET,
-                threads: int = 1) -> int:
-    """Total homomorphisms into Sym(n).
+def _conjugation_orbits(acting, group):
+    """(representative, orbit size) per orbit of ``acting`` on ``group``.
 
-    Splits on the conjugacy class of the first assigned generator: the
-    number of homomorphisms sending it to a fixed element depends only on
-    the element's class.
+    ``acting`` is a subgroup of ``group`` acting by conjugation;
+    representatives are the first orbit members in ``group``'s order.
     """
-    if not p.generators:
-        return _search(n, p, _sym(n), [], budget, False)[0]
-    _, _, _, order = _compiled(p)
-    g0 = order[0]
-    sym = _sym(n)
-    total = 0
-    for rep, size in conjugacy_classes(n):
-        cnt, _, _ = _search(n, p, sym, [(g0, rep)], budget, False, threads)
-        total += size * cnt
-    return total
+    pairs = [(h, _inverse(h)) for h in acting]
+    seen = set()
+    out = []
+    for y in group:
+        if y in seen:
+            continue
+        # h y h^-1
+        orbit = {tuple(h[y[i]] for i in hinv) for h, hinv in pairs}
+        seen |= orbit
+        out.append((y, len(orbit)))
+    return out
+
+
+def _count_into(compiled, n, group, budget: _Budget) -> int:
+    """Homomorphisms into ``group``, a sorted list closed under composition.
+
+    Conjugating the images of the first two generators in assignment order
+    by one element of ``group`` does not change the number of homomorphisms
+    extending them, even when propagation solves the second.  So the first
+    ranges over one representative per conjugacy class of ``group``, the
+    second over one representative per orbit of the first image's
+    centralizer in ``group``, and each kernel call is weighted by both
+    orbit sizes.
+    """
+    _, _, _, order = compiled
+    terms = [([], 1)]
+    for g in order[:2]:
+        terms = [
+            (fixed + [(g, y)], weight * size)
+            for fixed, weight in terms
+            for y, size in _conjugation_orbits(
+                [h for h in group if all(_commutes(h, x) for _, x in fixed)],
+                group,
+            )
+        ]
+    return sum(weight * budget.search(n, compiled, group, fixed)[0]
+               for fixed, weight in terms)
+
+
+def count_total(p: FinitePresentation, n: int,
+                budget: int = DEFAULT_BUDGET) -> int:
+    """Total homomorphisms into Sym(n)."""
+    return _count_into(_compiled(p), n, _sym(n), _Budget(budget))
 
 
 def _orbit_count(homs, n):
@@ -279,36 +309,45 @@ def _orbit_count(homs, n):
 
 
 def count_classes_enumerate(p: FinitePresentation, n: int,
-                            budget: int = DEFAULT_BUDGET,
-                            threads: int = 1) -> HomClassCount:
+                            budget: int = DEFAULT_BUDGET) -> HomClassCount:
     """Class count by full enumeration and explicit orbit partitioning."""
-    count, homs, _ = _search(n, p, _sym(n), [], budget, collect=True, threads=threads)
-    return HomClassCount(n, count, _orbit_count(homs, n), "enumerate")
+    budget = _Budget(budget)
+    count, homs = budget.search(n, _compiled(p), _sym(n), [], collect=True)
+    return HomClassCount(n, count, _orbit_count(homs, n), "enumerate",
+                         budget.spent)
 
 
 def count_classes_burnside(p: FinitePresentation, n: int,
-                           budget: int = DEFAULT_BUDGET,
-                           threads: int = 1) -> HomClassCount:
+                           budget: int = DEFAULT_BUDGET) -> HomClassCount:
     """Class count by Burnside average over conjugacy-class representatives.
 
     A homomorphism is fixed by conjugation with pi iff every generator
     image commutes with pi, i.e. iff it maps into the centralizer of pi.
+    The identity's centralizer is Sym(n), so its term is the total.
     """
+    compiled = _compiled(p)
+    budget = _Budget(budget)
     sym = _sym(n)
     total = None
     acc = 0
     for rep, size in conjugacy_classes(n):
+        centralizer = [q for q in sym if _commutes(q, rep)]
+        fixed_count = _count_into(compiled, n, centralizer, budget)
         if rep == tuple(range(n)):
-            fixed_count = count_total(p, n, budget, threads)
             total = fixed_count
-        else:
-            centralizer = [q for q in sym if _commutes(q, rep, n)]
-            fixed_count, _, _ = _search(n, p, centralizer, [], budget, False)
         acc += size * fixed_count
     if acc % factorial(n):
         raise IntegrityError("Burnside sum is not divisible by n!")
-    return HomClassCount(n, total, acc // factorial(n), "burnside")
+    return HomClassCount(n, total, acc // factorial(n), "burnside",
+                         budget.spent)
 
 
-def _commutes(q, rep, n):
-    return all(q[rep[i]] == rep[q[i]] for i in range(n))
+def _commutes(a, b):
+    return all(a[b[i]] == b[a[i]] for i in range(len(a)))
+
+
+def _inverse(p):
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)

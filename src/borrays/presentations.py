@@ -9,7 +9,7 @@ order starting from strand 1, is trivial.
 import string
 from dataclasses import dataclass
 
-from .diagrams import UNDER, AnnularDiagram, validate
+from .diagrams import UNDER, AnnularDiagram, _require_valid
 
 __all__ = [
     "FinitePresentation",
@@ -106,11 +106,7 @@ def _arcs(strand):
 
 def presentation(d: AnnularDiagram, include_outer_vertex: bool = False) -> FinitePresentation:
     """Wirtinger-style presentation of the block's tangle complement group."""
-    violations = validate(d)
-    if violations:
-        raise ValueError(
-            "invalid diagram: " + "; ".join(v.message for v in violations)
-        )
+    _require_valid(d)
 
     def gen(strand, arc):
         return f"{strand_letter(strand)}{arc}"

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from borrays import cli, diagrams, groupoid
+from borrays.homcount import count_classes_burnside, count_classes_enumerate
+from borrays.presentations import presentation
 
 
 def run(capsys, *argv):
@@ -23,8 +25,7 @@ def test_homcount_json_line(capsys):
     code, out, _ = run(capsys, "--json", "homcount", "--expr", "A",
                        "--sym", "4", "--method", "both")
     assert code == 0
-    objs = [json.loads(line) for line in out.splitlines()
-            if line.startswith("{")]
+    objs = [json.loads(line) for line in out.splitlines()]
     assert {o["method"] for o in objs} == {"enumerate", "burnside"}
     for o in objs:
         assert (o["n"], o["classes"]) == (4, 47)
@@ -49,14 +50,18 @@ def test_homcount_budget_exhaustion(capsys):
     assert "budget" in err.lower()
 
 
-def test_homcount_threads_do_not_change_output(capsys):
-    outs = []
-    for k in ("1", "3"):
-        code, out, _ = run(capsys, "--threads", k, "homcount",
-                           "--expr", "A", "--sym", "4", "--method", "both")
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+def test_homcount_budget_caps_the_whole_command(capsys):
+    p = presentation(diagrams.builtin("A"))
+    nodes = (count_classes_enumerate(p, 4).nodes
+             + count_classes_burnside(p, 4).nodes)
+    argv = ("homcount", "--expr", "A", "--sym", "4", "--method", "both")
+    code, out, _ = run(capsys, "--budget", str(nodes), *argv)
+    assert code == 0
+    assert out.count("classes: 47") == 2
+    code, out, err = run(capsys, "--budget", str(nodes - 1), *argv)
+    assert code == 2
+    assert out == ""
+    assert f"budget of {nodes - 1}" in err
 
 
 def test_homcount_file_input(capsys, tmp_path):
@@ -65,6 +70,22 @@ def test_homcount_file_input(capsys, tmp_path):
     code, out, _ = run(capsys, "homcount", "--file", str(path), "--sym", "4")
     assert code == 0
     assert "classes: 47" in out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("signs", []),
+    ("outer_order", [[1], 2]),
+    ("n_strands", 10**12),
+])
+def test_malformed_json_field_is_a_user_error(capsys, tmp_path, field, value):
+    obj = json.loads(diagrams.to_json(diagrams.builtin("A")))
+    obj[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "homcount", "--file", str(path), "--sym", "2")
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 def test_present_output(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from borrays.diagrams import builtin, concat, forget
 from borrays.errors import BudgetExceededError, IntegrityError
 from borrays.homcount import (
+    DEFAULT_BUDGET,
     HomClassCount,
     Permutation,
     conjugacy_classes,
@@ -16,8 +17,10 @@ from borrays.homcount import (
     enumerate_homs,
     kernel_name,
 )
+from borrays.homcount import _Budget, _compiled, _count_into, _kernel
 from borrays.presentations import FinitePresentation, presentation
 
+from itertools import permutations
 from math import factorial
 
 
@@ -42,6 +45,11 @@ def test_a_class_counts():
     d = builtin("A")
     for n, want in enumerate(A_CLASSES, start=1):
         assert classes(d, n) == want
+
+
+def test_a_total_into_sym5():
+    p = presentation(builtin("A"))
+    assert count_total(p, 5) == 18240
 
 
 def test_a_separates_from_eps3_at_sym4():
@@ -119,19 +127,21 @@ def test_enumerate_and_burnside_agree():
             assert (e.method, b.method) == ("enumerate", "burnside")
 
 
-def test_threads_do_not_change_results():
-    p = presentation(builtin("A"))
-    single = count_classes_burnside(p, 4, threads=1)
-    multi = count_classes_burnside(p, 4, threads=3)
-    assert (single.total_homs, single.class_count) == (
-        multi.total_homs, multi.class_count)
-    assert list(enumerate_homs(p, 3)) == list(enumerate_homs(p, 3))
-
-
 def test_budget_exceeded():
     p = presentation(concat(builtin("A"), builtin("A")))
     with pytest.raises(BudgetExceededError):
         count_classes_burnside(p, 4, budget=5)
+
+
+def test_budget_caps_the_whole_count():
+    p = presentation(builtin("A"))
+    for method in (count_classes_burnside, count_classes_enumerate):
+        r = method(p, 4)
+        assert r.nodes > 0
+        assert method(p, 4, budget=r.nodes) == r
+        with pytest.raises(BudgetExceededError) as exc:
+            method(p, 4, budget=r.nodes - 1)
+        assert exc.value.budget == r.nodes - 1
 
 
 def test_hom_class_count_bounds():
@@ -172,3 +182,33 @@ def test_random_presentations_methods_agree(relators):
         b = count_classes_burnside(p, n)
         assert e.class_count == b.class_count
         assert e.total_homs == b.total_homs
+
+
+def _unsplit(p, n, group):
+    """One kernel call over the whole group, nothing fixed."""
+    gens, _, relators, order = _compiled(p)
+    return _kernel.search_homs(n, len(gens), relators, order, group, [],
+                               DEFAULT_BUDGET, False)[0]
+
+
+_rand_words3 = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from([1, -1])),
+    min_size=0, max_size=6,
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rand_words3, min_size=0, max_size=3),
+       st.integers(1, 3), st.integers(1, 4))
+def test_orbit_split_matches_unsplit_search(relators, rank, n):
+    gens = ("a", "b", "c")[:rank]
+    relators = [tuple(letter for letter in rel if letter[0] in gens)
+                for rel in relators]
+    p = FinitePresentation(gens, tuple(relators))
+    sym = sorted(permutations(range(n)))
+    assert count_total(p, n) == _unsplit(p, n, sym)
+    for rep, _ in conjugacy_classes(n):
+        centralizer = [q for q in sym
+                       if all(q[rep[i]] == rep[q[i]] for i in range(n))]
+        got = _count_into(_compiled(p), n, centralizer, _Budget(DEFAULT_BUDGET))
+        assert got == _unsplit(p, n, centralizer)
