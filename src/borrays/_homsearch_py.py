@@ -1,10 +1,10 @@
 """Pure-Python backtracking kernel for homomorphism search.
 
-Reference implementation; :mod:`borrays._homsearch` is the compiled twin
-with identical semantics.  Generators are assigned depth-first in a fixed
-order; each relator is checked as soon as all of its generators are
-assigned, and a relator in which exactly one unassigned generator occurs
-exactly once is solved directly instead of searched.
+The one search kernel behind every count in :mod:`borrays.homcount`.
+Generators are assigned depth-first in a fixed order; each relator is
+checked as soon as all of its generators are assigned, and a relator in
+which exactly one unassigned generator occurs exactly once is solved
+directly instead of searched.
 
 Propagation is incremental: each relator tracks its number of unassigned
 letter occurrences, and assigning a generator only touches the relators

@@ -15,6 +15,7 @@ from . import diagrams, groupoid, sequences
 from .errors import BudgetExceededError, IntegrityError
 from .homcount import (
     DEFAULT_BUDGET,
+    MAX_DEGREE,
     count_classes_burnside,
     count_classes_enumerate,
 )
@@ -66,7 +67,7 @@ def _cmd_present(args, out):
 def _cmd_homcount(args, out):
     if args.sym < 1:
         raise ValueError("--sym must be a positive integer")
-    if args.sym >= 6 and not args.deep:
+    if 6 <= args.sym <= MAX_DEGREE and not args.deep:
         raise ValueError(
             f"counting into Sym({args.sym}) can take a long time; pass --deep to proceed"
         )

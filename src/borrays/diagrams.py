@@ -24,6 +24,7 @@ __all__ = [
     "AnnularDiagram",
     "builtin",
     "BUILTIN_NAMES",
+    "MAX_EPS_STRANDS",
     "bar",
     "star",
     "concat",
@@ -298,12 +299,17 @@ def _builtin_dirac() -> AnnularDiagram:
 
 BUILTIN_NAMES = ("A", "Ab", "As", "Abs", "eps1", "eps2", "eps3", "dirac")
 
+# Largest N accepted in "epsN"; a larger block is an input error, not a
+# request to build millions of strands.
+MAX_EPS_STRANDS = 1000
+
 
 def builtin(name: str) -> AnnularDiagram:
     """Return one of the hardcoded block diagrams.
 
     "A" is the Borromean block; "Ab", "As", "Abs" its bar/star transforms;
-    "epsN" the trivial N-strand block; "dirac" the full-twist block.
+    "epsN" the trivial N-strand block for 1 <= N <= MAX_EPS_STRANDS (1000);
+    "dirac" the full-twist block.  A larger N raises ValueError.
     """
     if name == "A":
         return _builtin_a()
@@ -318,6 +324,10 @@ def builtin(name: str) -> AnnularDiagram:
             n = int(name[3:])
         except ValueError:
             n = 0
+        if n > MAX_EPS_STRANDS:
+            raise ValueError(
+                f"builtin {name!r}: epsN takes at most {MAX_EPS_STRANDS} strands"
+            )
         if n >= 1:
             return _builtin_eps(n)
     if name == "dirac":
@@ -325,7 +335,7 @@ def builtin(name: str) -> AnnularDiagram:
     raise ValueError(
         f"unknown builtin diagram {name!r}; valid names are: "
         + ", ".join(BUILTIN_NAMES)
-        + " (epsN for any N >= 1)"
+        + f" (epsN for 1 <= N <= {MAX_EPS_STRANDS})"
     )
 
 

@@ -14,32 +14,24 @@ image's centralizer, each term weighted by its orbit sizes.  Enumeration
 stays unreduced, so it remains an independent cross-check.
 
 ``budget`` caps the search nodes of a whole count, summed over its kernel
-calls.  The backtracking search runs on a compiled kernel when available
-(:mod:`borrays._homsearch`, built with Cython) and otherwise on the pure
-Python twin :mod:`borrays._homsearch_py`.  Set ``BORRAYS_PURE=1`` to force
-the fallback.
+calls.  The backtracking search runs in the pure-Python kernel
+:mod:`borrays._homsearch_py`.  Degrees above ``MAX_DEGREE`` are refused,
+because the counts list every element of Sym(n).
 """
 
-import os
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
+from . import _homsearch_py as _kernel
 from .errors import BudgetExceededError, IntegrityError
 from .presentations import FinitePresentation
-
-if os.environ.get("BORRAYS_PURE"):
-    from . import _homsearch_py as _kernel
-else:
-    try:
-        from . import _homsearch as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _homsearch_py as _kernel
 
 __all__ = [
     "Permutation",
     "HomClassCount",
     "DEFAULT_BUDGET",
+    "MAX_DEGREE",
     "kernel_name",
     "enumerate_homs",
     "count_total",
@@ -49,6 +41,10 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**10
+
+# Every count lists all of Sym(n): Sym(9) peaks at about 57 MB, while
+# Sym(10) has 3.6M elements and can exhaust a shared machine's memory.
+MAX_DEGREE = 9
 
 
 def kernel_name() -> str:
@@ -156,6 +152,14 @@ def _assignment_order(num_gens, relators, names):
     return order
 
 
+def _check_degree(n):
+    if n > MAX_DEGREE:
+        raise ValueError(
+            f"degree {n} is above the largest supported degree, "
+            f"MAX_DEGREE = {MAX_DEGREE}"
+        )
+
+
 def _sym(n):
     return sorted(permutations(range(n)))
 
@@ -182,16 +186,18 @@ class _Budget:
 
 
 def enumerate_homs(p: FinitePresentation, n: int, budget: int = DEFAULT_BUDGET):
-    """Yield every homomorphism into Sym(n) once, in a deterministic order.
+    """Iterator over every homomorphism into Sym(n), in a deterministic order.
 
     Each homomorphism is a dict mapping generator symbol to Permutation.
+    The search runs, and a degree above ``MAX_DEGREE`` is refused, on call.
     """
+    _check_degree(n)
     _, homs = _Budget(budget).search(n, _compiled(p), _sym(n), [], collect=True)
-    for hom in homs:
-        yield {
-            g: Permutation.from_zero_based(perm)
-            for g, perm in zip(p.generators, hom)
-        }
+    return (
+        {g: Permutation.from_zero_based(perm)
+         for g, perm in zip(p.generators, hom)}
+        for hom in homs
+    )
 
 
 def conjugacy_classes(n: int):
@@ -274,6 +280,7 @@ def _count_into(compiled, n, group, budget: _Budget) -> int:
 def count_total(p: FinitePresentation, n: int,
                 budget: int = DEFAULT_BUDGET) -> int:
     """Total homomorphisms into Sym(n)."""
+    _check_degree(n)
     return _count_into(_compiled(p), n, _sym(n), _Budget(budget))
 
 
@@ -311,6 +318,7 @@ def _orbit_count(homs, n):
 def count_classes_enumerate(p: FinitePresentation, n: int,
                             budget: int = DEFAULT_BUDGET) -> HomClassCount:
     """Class count by full enumeration and explicit orbit partitioning."""
+    _check_degree(n)
     budget = _Budget(budget)
     count, homs = budget.search(n, _compiled(p), _sym(n), [], collect=True)
     return HomClassCount(n, count, _orbit_count(homs, n), "enumerate",
@@ -325,6 +333,7 @@ def count_classes_burnside(p: FinitePresentation, n: int,
     image commutes with pi, i.e. iff it maps into the centralizer of pi.
     The identity's centralizer is Sym(n), so its term is the total.
     """
+    _check_degree(n)
     compiled = _compiled(p)
     budget = _Budget(budget)
     sym = _sym(n)

@@ -43,6 +43,16 @@ def test_homcount_requires_deep_for_sym6(capsys):
     assert "--deep" in err
 
 
+@pytest.mark.parametrize("deep", [(), ("--deep",)])
+def test_homcount_degree_above_max_is_a_user_error(capsys, deep):
+    code, out, err = run(capsys, "homcount", "--expr", "A", "--sym", "10",
+                         *deep)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "MAX_DEGREE = 9" in err
+
+
 def test_homcount_budget_exhaustion(capsys):
     code, _, err = run(capsys, "--budget", "5", "homcount",
                        "--expr", "A A", "--sym", "4")
@@ -102,6 +112,14 @@ def test_present_simplify_and_abelianization(capsys):
     obj = json.loads(out)
     assert obj["abelianization"] == {"rank": 2, "torsion": []}
     assert len(obj["generators"]) < 9
+
+
+def test_present_huge_eps_is_a_user_error(capsys):
+    code, out, err = run(capsys, "present", "--expr", "eps100000000")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "at most 1000 strands" in err
 
 
 def test_present_requires_input(capsys):

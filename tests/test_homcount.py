@@ -8,6 +8,7 @@ from borrays.diagrams import builtin, concat, forget
 from borrays.errors import BudgetExceededError, IntegrityError
 from borrays.homcount import (
     DEFAULT_BUDGET,
+    MAX_DEGREE,
     HomClassCount,
     Permutation,
     conjugacy_classes,
@@ -160,8 +161,64 @@ def test_permutation_validation():
     assert Permutation.from_zero_based((1, 0, 2)).images == (2, 1, 3)
 
 
+def test_degree_above_max_is_refused():
+    p = presentation(builtin("A"))
+    for count in (count_total, enumerate_homs, count_classes_enumerate,
+                  count_classes_burnside):
+        with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+            count(p, MAX_DEGREE + 1)
+
+
 def test_kernel_name_reports_a_kernel():
-    assert kernel_name() in ("borrays._homsearch", "borrays._homsearch_py")
+    assert kernel_name() == "borrays._homsearch_py"
+
+
+# ---------------------------------------------------------------------------
+# The search kernel alone
+
+def _search(n, num_gens, relators, candidates=None, budget=DEFAULT_BUDGET,
+            collect=True):
+    """One kernel call in generator order; candidates default to Sym(n)."""
+    if candidates is None:
+        candidates = sorted(permutations(range(n)))
+    return _kernel.search_homs(n, num_gens, relators, list(range(num_gens)),
+                               candidates, [], budget, collect)
+
+
+_XYZ = (((0, 1), (1, 1), (2, 1)),)  # the relator x y z
+
+
+def test_kernel_free_group_counts():
+    for n in (2, 3):
+        assert _search(n, 2, ())[0] == factorial(n) ** 2
+
+
+def test_kernel_counts_without_collection_match_collection():
+    count, homs, nodes = _search(3, 3, _XYZ, collect=True)
+    assert count == len(homs) == 36
+    assert _search(3, 3, _XYZ, collect=False) == (count, None, nodes)
+
+
+def test_kernel_budget_exceeded():
+    with pytest.raises(BudgetExceededError):
+        _search(4, 3, _XYZ, budget=3, collect=False)
+
+
+_kernel_relators = st.lists(
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])),
+             min_size=0, max_size=5).map(tuple),
+    min_size=0, max_size=4,
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_relators, st.integers(2, 3))
+def test_kernel_restricted_candidates_filter_full_search(relators, n):
+    # the cyclic subgroup generated by an n-cycle: the n rotations
+    group = {tuple((i + k) % n for i in range(n)) for k in range(n)}
+    count, _, _ = _search(n, 3, relators, candidates=sorted(group))
+    _, homs, _ = _search(n, 3, relators)
+    assert count == sum(all(x in group for x in hom) for hom in homs)
 
 
 # ---------------------------------------------------------------------------
