@@ -97,7 +97,7 @@ def _cmd_homcount(args, out):
         if args.json:
             out.write(json.dumps(
                 {"n": r.n, "total": r.total_homs, "classes": r.class_count,
-                 "method": r.method}
+                 "method": r.method, "nodes": r.nodes}
             ) + "\n")
         else:
             label = args.expr if args.expr else args.file
@@ -260,6 +260,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; report those as user errors.
         return 1 if exc.code else 0
     try:
+        if args.budget < 0:
+            raise ValueError("--budget must be a non-negative integer")
         return args.func(args, sys.stdout)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,8 +15,12 @@ stays unreduced, so it remains an independent cross-check.
 
 ``budget`` caps the search nodes of a whole count, summed over its kernel
 calls.  The backtracking search runs in the pure-Python kernel
-:mod:`borrays._homsearch_py`.  Degrees above ``MAX_DEGREE`` are refused,
-because the counts list every element of Sym(n).
+:mod:`borrays._homsearch_py`.  Its group table (each element paired with
+its inverse) is built once per group: once for Sym(n), and once per
+centralizer as a sub-table of Sym(n)'s, so every kernel call of a count
+reuses it, and the collected homs of an enumeration share its tuples.
+Degrees above ``MAX_DEGREE`` are refused, because the counts list every
+element of Sym(n).
 """
 
 from dataclasses import dataclass
@@ -161,7 +165,8 @@ def _check_degree(n):
 
 
 def _sym(n):
-    return sorted(permutations(range(n)))
+    """The group table of Sym(n)."""
+    return _kernel.group_table(permutations(range(n)))
 
 
 class _Budget:
@@ -171,12 +176,12 @@ class _Budget:
         self.limit = limit
         self.spent = 0
 
-    def search(self, n, compiled, candidates, fixed, collect=False):
+    def search(self, n, compiled, table, fixed, collect=False):
         """Run the kernel on what is left of the budget; (count, homs)."""
         gens, _, relators, order = compiled
         try:
             count, homs, nodes = _kernel.search_homs(
-                n, len(gens), relators, order, candidates, fixed,
+                n, len(gens), relators, order, table, fixed,
                 self.limit - self.spent, collect,
             )
         except BudgetExceededError:
@@ -235,32 +240,32 @@ def conjugacy_classes(n: int):
 def _conjugation_orbits(acting, group):
     """(representative, orbit size) per orbit of ``acting`` on ``group``.
 
-    ``acting`` is a subgroup of ``group`` acting by conjugation;
-    representatives are the first orbit members in ``group``'s order.
+    ``acting`` is a subgroup of ``group`` acting by conjugation, given as
+    (element, inverse) pairs; representatives are the first orbit members
+    in ``group``'s order.
     """
-    pairs = [(h, _inverse(h)) for h in acting]
     seen = set()
     out = []
     for y in group:
         if y in seen:
             continue
         # h y h^-1
-        orbit = {tuple(h[y[i]] for i in hinv) for h, hinv in pairs}
+        orbit = {tuple(h[y[i]] for i in hinv) for h, hinv in acting}
         seen |= orbit
         out.append((y, len(orbit)))
     return out
 
 
-def _count_into(compiled, n, group, budget: _Budget) -> int:
-    """Homomorphisms into ``group``, a sorted list closed under composition.
+def _count_into(compiled, n, table, budget: _Budget) -> int:
+    """Homomorphisms into the group whose group table is ``table``.
 
     Conjugating the images of the first two generators in assignment order
-    by one element of ``group`` does not change the number of homomorphisms
-    extending them, even when propagation solves the second.  So the first
-    ranges over one representative per conjugacy class of ``group``, the
-    second over one representative per orbit of the first image's
-    centralizer in ``group``, and each kernel call is weighted by both
-    orbit sizes.
+    by one element of the group does not change the number of
+    homomorphisms extending them, even when propagation solves the second.
+    So the first ranges over one representative per conjugacy class of the
+    group, the second over one representative per orbit of the first
+    image's centralizer in the group, and each kernel call is weighted by
+    both orbit sizes.
     """
     _, _, _, order = compiled
     terms = [([], 1)]
@@ -269,11 +274,12 @@ def _count_into(compiled, n, group, budget: _Budget) -> int:
             (fixed + [(g, y)], weight * size)
             for fixed, weight in terms
             for y, size in _conjugation_orbits(
-                [h for h in group if all(_commutes(h, x) for _, x in fixed)],
-                group,
+                [pair for h, pair in table.items()
+                 if all(_commutes(h, x) for _, x in fixed)],
+                table,
             )
         ]
-    return sum(weight * budget.search(n, compiled, group, fixed)[0]
+    return sum(weight * budget.search(n, compiled, table, fixed)[0]
                for fixed, weight in terms)
 
 
@@ -340,7 +346,8 @@ def count_classes_burnside(p: FinitePresentation, n: int,
     total = None
     acc = 0
     for rep, size in conjugacy_classes(n):
-        centralizer = [q for q in sym if _commutes(q, rep)]
+        centralizer = {q: pair for q, pair in sym.items()
+                       if _commutes(q, rep)}
         fixed_count = _count_into(compiled, n, centralizer, budget)
         if rep == tuple(range(n)):
             total = fixed_count
@@ -353,10 +360,3 @@ def count_classes_burnside(p: FinitePresentation, n: int,
 
 def _commutes(a, b):
     return all(a[b[i]] == b[a[i]] for i in range(len(a)))
-
-
-def _inverse(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)

@@ -29,6 +29,7 @@ def test_homcount_json_line(capsys):
     assert {o["method"] for o in objs} == {"enumerate", "burnside"}
     for o in objs:
         assert (o["n"], o["classes"]) == (4, 47)
+        assert type(o["nodes"]) is int and o["nodes"] > 0
 
 
 def test_homcount_unknown_block(capsys):
@@ -58,6 +59,22 @@ def test_homcount_budget_exhaustion(capsys):
                        "--expr", "A A", "--sym", "4")
     assert code == 2
     assert "budget" in err.lower()
+
+
+def test_homcount_negative_budget_is_a_user_error(capsys):
+    code, out, err = run(capsys, "--budget", "-5", "homcount",
+                         "--expr", "A", "--sym", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --budget must be a non-negative integer\n"
+
+
+def test_homcount_zero_budget_is_exhausted(capsys):
+    code, out, err = run(capsys, "--budget", "0", "homcount",
+                         "--expr", "A", "--sym", "3")
+    assert code == 2
+    assert out == ""
+    assert "budget of 0" in err
 
 
 def test_homcount_budget_caps_the_whole_command(capsys):

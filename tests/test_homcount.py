@@ -1,7 +1,7 @@
 """Homomorphism counting into symmetric groups: totals, classes, kernels."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borrays.diagrams import builtin, concat, forget
@@ -18,10 +18,10 @@ from borrays.homcount import (
     enumerate_homs,
     kernel_name,
 )
-from borrays.homcount import _Budget, _compiled, _count_into, _kernel
+from borrays.homcount import _Budget, _compiled, _count_into, _kernel, _sym
 from borrays.presentations import FinitePresentation, presentation
 
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 
@@ -180,9 +180,10 @@ def _search(n, num_gens, relators, candidates=None, budget=DEFAULT_BUDGET,
             collect=True):
     """One kernel call in generator order; candidates default to Sym(n)."""
     if candidates is None:
-        candidates = sorted(permutations(range(n)))
+        candidates = permutations(range(n))
     return _kernel.search_homs(n, num_gens, relators, list(range(num_gens)),
-                               candidates, [], budget, collect)
+                               _kernel.group_table(candidates), [], budget,
+                               collect)
 
 
 _XYZ = (((0, 1), (1, 1), (2, 1)),)  # the relator x y z
@@ -221,6 +222,85 @@ def test_kernel_restricted_candidates_filter_full_search(relators, n):
     assert count == sum(all(x in group for x in hom) for hom in homs)
 
 
+def _relator_value(relator, images, n):
+    """The permutation a relator maps to, composed left to right."""
+    out = tuple(range(n))
+    for g, e in relator:
+        p = images[g]
+        if e < 0:
+            p = tuple(sorted(range(n), key=p.__getitem__))
+        out = tuple(out[x] for x in p)
+    return out
+
+
+_oracle_relators = st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from([1, -1])),
+                 min_size=0, max_size=5).map(tuple),
+        min_size=0, max_size=4,
+    ).map(tuple),
+))
+
+
+# Generators are assigned in index order, so a relator's highest generator
+# is the one solved; the examples put that open letter first, last, in the
+# middle, and with exponent -1.
+@settings(max_examples=300, deadline=None)
+@given(_oracle_relators, st.integers(2, 3))
+@example((3, (((2, 1), (0, 1), (1, -1)),)), 3)
+@example((3, (((0, 1), (1, 1), (2, 1)),)), 3)
+@example((3, (((2, -1), (1, 1), (0, -1)),)), 3)
+@example((3, (((0, -1), (0, -1), (1, 1), (2, -1)),)), 3)
+@example((3, (((0, -1), (2, -1), (1, 1), (0, 1)),)), 3)
+@example((2, (((0, 1), (1, -1), (0, 1), (1, -1)), ((1, -1),))), 2)
+def test_kernel_matches_brute_force(case, n):
+    k, relators = case
+    identity = tuple(range(n))
+    want = [images for images in product(sorted(permutations(range(n))),
+                                          repeat=k)
+            if all(_relator_value(rel, images, n) == identity
+                   for rel in relators)]
+    count, homs, _ = _search(n, k, relators)
+    assert count == len(want)
+    # in generator order, the homs come out lexicographically sorted
+    assert homs == want
+
+
+def test_collected_homs_share_the_group_tuples():
+    for name, n in (("eps3", 4), ("A", 4)):
+        gens, _, relators, order = _compiled(presentation(builtin(name)))
+        table = _sym(n)
+        count, homs, nodes = _kernel.search_homs(
+            n, len(gens), relators, order, table, [], DEFAULT_BUDGET, True)
+        assert count == len(homs) > 0
+        for hom in homs:
+            assert all(image is table[image][0] for image in hom)
+        if name == "eps3":
+            # x1 y1 z1: the first two generators are branched over all 24
+            # elements and the third is always solved, never branched.
+            assert nodes == 24 + 24 * 24 and count == 24 * 24
+
+
+def test_group_table_pairs_each_element_with_its_inverse():
+    table = _sym(4)
+    assert list(table) == sorted(permutations(range(4)))
+    for p, (own, inv) in table.items():
+        assert own is p
+        assert inv is table[inv][0]
+        assert tuple(p[i] for i in inv) == tuple(range(4))
+
+
+def test_search_tree_is_pinned():
+    # Node counts of three paper-table counts; a kernel change that keeps
+    # them visits the same search tree and spends --budget the same way.
+    a, a_as = builtin("A"), concat(builtin("A"), builtin("As"))
+    assert count_classes_burnside(presentation(a), 5).nodes == 20_693
+    assert count_classes_burnside(presentation(a_as), 5).nodes == 49_474
+    aa = presentation(concat(a, a))
+    assert count_classes_enumerate(aa, 4).nodes == 30_552
+
+
 # ---------------------------------------------------------------------------
 # Randomized agreement on small presentations
 
@@ -241,10 +321,10 @@ def test_random_presentations_methods_agree(relators):
         assert e.total_homs == b.total_homs
 
 
-def _unsplit(p, n, group):
+def _unsplit(p, n, table):
     """One kernel call over the whole group, nothing fixed."""
     gens, _, relators, order = _compiled(p)
-    return _kernel.search_homs(n, len(gens), relators, order, group, [],
+    return _kernel.search_homs(n, len(gens), relators, order, table, [],
                                DEFAULT_BUDGET, False)[0]
 
 
@@ -262,10 +342,10 @@ def test_orbit_split_matches_unsplit_search(relators, rank, n):
     relators = [tuple(letter for letter in rel if letter[0] in gens)
                 for rel in relators]
     p = FinitePresentation(gens, tuple(relators))
-    sym = sorted(permutations(range(n)))
+    sym = _sym(n)
     assert count_total(p, n) == _unsplit(p, n, sym)
     for rep, _ in conjugacy_classes(n):
-        centralizer = [q for q in sym
-                       if all(q[rep[i]] == rep[q[i]] for i in range(n))]
+        centralizer = _kernel.group_table(
+            q for q in sym if all(q[rep[i]] == rep[q[i]] for i in range(n)))
         got = _count_into(_compiled(p), n, centralizer, _Budget(DEFAULT_BUDGET))
         assert got == _unsplit(p, n, centralizer)
