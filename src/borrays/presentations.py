@@ -4,10 +4,17 @@ One generator per diagram arc (a strand segment between under-passages),
 one conjugation relation per crossing, plus the inner vertex relation: the
 product of the inner-boundary arc generators, in counterclockwise boundary
 order starting from strand 1, is trivial.
+
+``abelianization`` reads H1 off the relators' exponent sums by a sparse
+integer Smith normal form: each crossing row holds just ``before - after``,
+so elimination with unit pivots stays sparse and takes about linear time
+in the length of a block word.
 """
 
 import string
+from collections import deque
 from dataclasses import dataclass
+from math import gcd
 
 from .diagrams import UNDER, AnnularDiagram, _require_valid
 
@@ -203,55 +210,93 @@ def tietze_simplify(p: FinitePresentation) -> FinitePresentation:
     return FinitePresentation(tuple(gens), tuple(relators))
 
 
-def _smith_diagonal(mat):
-    """Diagonal of the Smith normal form of an integer matrix (list of rows)."""
-    from math import gcd
+def _nearest_quotient(a, p):
+    """The integer nearest a / p, so that |a - q * p| <= |p| / 2."""
+    return (2 * a + p) // (2 * p)
 
-    mat = [list(row) for row in mat]
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
+
+def _smith_diagonal(rows):
+    """Nonzero Smith-normal-form diagonal of a sparse integer matrix.
+
+    Each row is a dict ``{column: entry}`` holding its nonzero entries.
+    The result is the divisor chain of nonzero invariant factors, so its
+    length is the matrix rank.
+
+    Sparse elimination: a unit pivot is taken when one exists, otherwise
+    an entry of least absolute value.  Row operations clear the pivot's
+    column and touch only the rows in that column; then the pivot row is
+    reduced modulo the pivot, a column operation that changes that row
+    alone because the column is clear.  A nonzero remainder is strictly
+    smaller than the pivot and becomes the next pivot, so this
+    terminates.  Remainders are taken nearest to zero, which keeps the
+    entries small.
+    """
+    rows = {i: dict(row) for i, row in enumerate(rows) if row}
+    col_rows = {}  # column -> indices of the rows with a nonzero there
+    for i, row in rows.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(i)
+
+    def set_entry(i, c, v):
+        row = rows[i]
+        if v:
+            if c not in row:
+                col_rows[c].add(i)
+            row[c] = v
+        elif c in row:
+            del row[c]
+            col_rows[c].discard(i)
+
+    def size(entry):
+        i, c = entry
+        return abs(rows[i][c])
+
+    # Rows not yet looked at for a unit pivot, in input order.  A row with
+    # no unit when its turn comes waits for the least-entry scan.
+    unvisited = deque(rows)
     diag = []
-    r = 0
-    while r < rows and r < cols:
+    while rows:
         pivot = None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                if mat[i][j] and (
-                    pivot is None or abs(mat[i][j]) < abs(mat[pivot[0]][pivot[1]])
-                ):
-                    pivot = (i, j)
+        while unvisited and pivot is None:
+            i = unvisited.popleft()
+            if i in rows:
+                units = [c for c, v in rows[i].items() if v in (1, -1)]
+                if units:
+                    pivot = (i, min(units, key=lambda c: len(col_rows[c])))
         if pivot is None:
-            break
-        i, j = pivot
-        mat[r], mat[i] = mat[i], mat[r]
-        for row in mat:
-            row[r], row[j] = row[j], row[r]
-        # Clear row r and column r; any nonzero remainder becomes a strictly
-        # smaller pivot, so this terminates.
+            pivot = min(((i, c) for i, row in rows.items() for c in row), key=size)
         while True:
-            again = False
-            for i in range(rows):
-                if i != r and mat[i][r]:
-                    q = mat[i][r] // mat[r][r]
-                    for j in range(r, cols):
-                        mat[i][j] -= q * mat[r][j]
-                    if mat[i][r]:
-                        mat[r], mat[i] = mat[i], mat[r]
-                        again = True
-            for j in range(cols):
-                if j != r and mat[r][j]:
-                    q = mat[r][j] // mat[r][r]
-                    for i in range(rows):
-                        mat[i][j] -= q * mat[i][r]
-                    if mat[r][j]:
-                        for row in mat:
-                            row[r], row[j] = row[j], row[r]
-                        again = True
-            if not again:
+            i, c = pivot
+            row = rows[i]
+            p = row[c]
+            # Row operations: clear the rest of column c.
+            left = []
+            for k in list(col_rows[c]):
+                if k == i:
+                    continue
+                q = _nearest_quotient(rows[k][c], p)
+                for j, v in row.items():
+                    set_entry(k, j, rows[k].get(j, 0) - q * v)
+                if c in rows[k]:
+                    left.append(k)
+                elif not rows[k]:
+                    del rows[k]
+            if left:
+                pivot = min(((k, c) for k in left), key=size)
+                continue
+            # Column operations: reduce the rest of row i modulo p.
+            for j, v in list(row.items()):
+                if j != c:
+                    set_entry(i, j, v - _nearest_quotient(v, p) * p)
+            if len(row) == 1:
+                diag.append(abs(p))
+                del rows[i]
+                col_rows[c].discard(i)
                 break
-        diag.append(abs(mat[r][r]))
-        r += 1
-    # enforce the divisibility chain
+            pivot = min(((i, j) for j in row), key=size)
+    # enforce the divisibility chain; sorted, the units at the front are
+    # already in place
+    diag.sort()
     changed = True
     while changed:
         changed = False
@@ -265,21 +310,18 @@ def _smith_diagonal(mat):
 
 
 def abelianization(p: FinitePresentation) -> AbelianInvariants:
-    """Rank and torsion of the abelianized group (integer Smith normal form)."""
-    gens = list(p.generators)
-    index = {g: i for i, g in enumerate(gens)}
-    mat = []
+    """Rank and torsion of the abelianized group (sparse integer Smith normal form)."""
+    index = {g: i for i, g in enumerate(p.generators)}
+    rows = []
     for rel in p.relators:
-        row = [0] * len(gens)
+        row = {}  # column -> exponent sum, zeros dropped
         for g, e in rel:
-            row[index[g]] += e
-        mat.append(row)
-    if not mat or not gens:
-        return AbelianInvariants(len(gens), ())
-    diag = _smith_diagonal(mat)
-    nonzero = [d for d in diag if d]
-    rank = len(gens) - len(nonzero)
-    return AbelianInvariants(rank, tuple(d for d in nonzero if d > 1))
+            j = index[g]
+            row[j] = row.get(j, 0) + e
+        rows.append({j: v for j, v in row.items() if v})
+    diag = _smith_diagonal(rows)
+    rank = len(index) - len(diag)
+    return AbelianInvariants(rank, tuple(d for d in diag if d > 1))
 
 
 def format_presentation(p: FinitePresentation) -> str:

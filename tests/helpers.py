@@ -1,6 +1,7 @@
 """Shared test utilities: hypothesis strategies and oracles."""
 
-from math import lcm
+from itertools import combinations
+from math import gcd, lcm
 
 from hypothesis import strategies as st
 
@@ -83,6 +84,28 @@ def block_diagrams(draw):
     return d
 
 
+@st.composite
+def integer_matrices(draw, max_size=5, bound=12):
+    """Integer matrices from 1x1 to max_size x max_size, entries in +-bound.
+
+    Each row's entries share a factor drawn from 1, 2, 3, 4, 6, which
+    gives torsion, and any set of rows and of columns may be zeroed.
+    """
+    rows = draw(st.integers(1, max_size))
+    cols = draw(st.integers(1, max_size))
+    mat = []
+    for _ in range(rows):
+        f = draw(st.sampled_from([1, 1, 2, 3, 4, 6]))
+        entry = st.integers(-(bound // f), bound // f).map(lambda v, f=f: f * v)
+        mat.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    return [
+        [0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+        for i, row in enumerate(mat)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 
@@ -99,6 +122,46 @@ def tails_equal_oracle(s, t):
         ):
             return True
     return False
+
+
+def _determinant(mat):
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in mat]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def invariant_factors(mat):
+    """Nonzero invariant factors of an integer matrix, from its minors.
+
+    With d_k the gcd of all k x k minors (d_0 = 1), the k-th invariant
+    factor is d_k / d_{k-1}; the factors stop at the rank, where d_k
+    becomes 0.  Exponential in the size: an oracle for small matrices.
+    """
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    ds = [1]
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for r in combinations(range(rows), k):
+            for c in combinations(range(cols), k):
+                d = gcd(d, _determinant([[mat[i][j] for j in c] for i in r]))
+        if not d:
+            break
+        ds.append(d)
+    return [b // a for a, b in zip(ds, ds[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
+import contextlib
+import io
 import json
+import os
+import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borrays import cli, diagrams, groupoid
 from borrays.homcount import count_classes_burnside, count_classes_enumerate
@@ -131,6 +138,25 @@ def test_present_simplify_and_abelianization(capsys):
     assert len(obj["generators"]) < 9
 
 
+def test_present_abelianization_of_a_long_word(capsys):
+    rng = random.Random(200)
+    names = ("A", "Ab", "As", "Abs", "dirac", "eps3")
+    word = " ".join(rng.choice(names) for _ in range(200))
+    code, out, _ = run(capsys, "present", "--expr", word, "--abelianization")
+    assert code == 0
+    assert out.splitlines()[-1] == "abelianization: rank 2, torsion []"
+
+
+def test_global_flags_go_before_the_subcommand(capsys):
+    code, out, _ = run(capsys, "--json", "present", "--expr", "A")
+    assert code == 0
+    assert json.loads(out)["generators"]
+    code, out, err = run(capsys, "present", "--expr", "A", "--json")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --json" in err
+
+
 def test_present_huge_eps_is_a_user_error(capsys):
     code, out, err = run(capsys, "present", "--expr", "eps100000000")
     assert code == 1
@@ -210,3 +236,177 @@ def test_achiral_bad_sequence(capsys):
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "homcount", "--expr", "A")[0] == 1  # missing --sym
     assert run(capsys, "nonsense")[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: every argv ends in a result or a clean error.
+
+BLOCKS = ["A", "Ab", "As", "Abs", "eps3", "dirac"]  # the 3-strand blocks
+OTHER_TOKENS = ["eps1", "eps2", "", "Zz", "eps0", "eps1001", "eps-1", "epsx",
+                "a", "A;", "--sym", "\u00e9"]
+LABELS = ["A", "Ab", "As", "Abs"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**13) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _rarely(draw):
+    """True about one time in ten (shrinks to False)."""
+    return draw(st.sampled_from(range(10))) == 9
+
+
+def _usually(draw, common, rare):
+    return draw(st.sampled_from(rare) if _rarely(draw) else st.sampled_from(common))
+
+
+@st.composite
+def _mutated(draw, node):
+    """``node`` with one value replaced or deleted somewhere inside it."""
+    if isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = draw(st.sampled_from(keys))
+        node = dict(node) if isinstance(node, dict) else list(node)
+        action = draw(st.sampled_from(["descend", "replace", "delete"]))
+        if action == "descend":
+            node[key] = draw(_mutated(node[key]))
+        elif action == "replace":
+            node[key] = draw(json_values)
+        else:
+            del node[key]
+        return node
+    return draw(json_values)
+
+
+@st.composite
+def diagram_files(draw):
+    """The bytes of a diagram JSON file: valid, mutated, truncated or junk."""
+    text = diagrams.to_json(diagrams.builtin(draw(st.sampled_from(BLOCKS))))
+    kind = draw(st.sampled_from(["valid", "valid", "mutated", "mutated",
+                                 "truncated", "junk"]))
+    if kind == "mutated":
+        text = json.dumps(draw(_mutated(json.loads(text))))
+    elif kind == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif kind == "junk":
+        return draw(st.binary(max_size=20))
+    return text.encode()
+
+
+def _diagram_args(draw, files):
+    """--expr or --file, rarely both or neither; ``files`` maps each file
+    name to its contents (None: a path that does not exist)."""
+    source = _usually(draw, ["expr", "expr", "file"], ["both", "none"])
+    args = []
+    if source in ("expr", "both"):
+        tokens = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=3))
+        if _rarely(draw):
+            tokens.insert(draw(st.integers(0, len(tokens))),
+                          draw(st.sampled_from(OTHER_TOKENS) | st.text(max_size=3)))
+        args += ["--expr", " ".join(tokens)]
+    if source in ("file", "both"):
+        name = f"diagram{len(files)}.json"
+        files[name] = None if _rarely(draw) else draw(diagram_files())
+        args += ["--file", name]
+    return args
+
+
+def _sequence(draw):
+    def labels(min_size):
+        return " ".join(draw(st.lists(st.sampled_from(LABELS), min_size=min_size,
+                                      max_size=4)))
+    text = "per: " + labels(1)
+    if draw(st.booleans()):
+        text = "pre: " + labels(0) + " ; " + text
+    if not _rarely(draw):
+        return text
+    return draw(st.sampled_from([
+        text + " " + draw(st.sampled_from(OTHER_TOKENS)), text.replace("per:", ""),
+        text + " ; per: A", "per:", draw(st.text(max_size=6))]))
+
+
+@st.composite
+def cli_calls(draw, command=None):
+    """(argv, files): an argv item that is a key of ``files`` names a file
+    holding ``files[key]`` in the directory the call runs against."""
+    files = {}
+    command = command or _usually(
+        draw, ["present", "homcount", "groupoid", "classify", "achiral"],
+        ["nonsense", ""])
+    args = [command]
+    if command == "present":
+        args += _diagram_args(draw, files)
+        for flag in ("--simplify", "--outer-vertex", "--abelianization"):
+            if draw(st.booleans()):
+                args.append(flag)
+    elif command == "homcount":
+        args += _diagram_args(draw, files)
+        args += ["--sym", _usually(draw, ["1", "2", "3", "4"], ["0", "-1", "x", "2.5"])]
+        if draw(st.booleans()):
+            args += ["--method", _usually(draw, ["enumerate", "burnside", "both"], ["all"])]
+        if draw(st.booleans()):
+            args.append("--deep")
+    elif command == "groupoid":
+        if draw(st.booleans()):
+            args += ["--emit", _usually(draw, ["table2", "list"], ["table3"])]
+    elif command == "classify":
+        args += ["--s1", _sequence(draw), "--s2", _sequence(draw)]
+    elif command == "achiral":
+        args += ["--s", _sequence(draw)]
+    glob = []
+    if draw(st.booleans()):
+        glob.append("--json")
+    # homcount always runs under a small budget, so every call is quick.
+    if command == "homcount" or draw(st.booleans()):
+        budget = draw(st.integers(0, 20_000)) if not _rarely(draw) else -1
+        glob += ["--budget", str(budget)]
+    if _rarely(draw):
+        return args + glob, files  # global flags after the subcommand
+    return glob + args, files
+
+
+def _call(argv, files, directory):
+    for name, data in files.items():
+        if data is not None:
+            with open(os.path.join(directory, name), "wb") as fh:
+                fh.write(data)
+    argv = [os.path.join(directory, a) if a in files else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_calls())
+def test_fuzz_cli_exits_cleanly(call):
+    argv, files = call
+    with tempfile.TemporaryDirectory() as directory:
+        code, out, err = _call(argv, files, directory)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        # A usage error from argparse, or one line naming the error.
+        assert out == ""
+        assert err.startswith("usage: ") or (
+            err.startswith("error: ") and len(err.splitlines()) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_calls("homcount"), st.integers(1, 20_000))
+def test_fuzz_larger_budget_never_turns_success_into_exhaustion(call, raise_by):
+    argv, files = call
+    i = argv.index("--budget") + 1
+    with tempfile.TemporaryDirectory() as directory:
+        code, out, _ = _call(argv, files, directory)
+        if code != 0:
+            return
+        raised = argv[:i] + [str(int(argv[i]) + raise_by)] + argv[i + 1:]
+        code2, out2, _ = _call(raised, files, directory)
+    assert (code2, out2) == (0, out)

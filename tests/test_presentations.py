@@ -1,7 +1,10 @@
 """Wirtinger-style presentations, Tietze simplification, abelianization."""
 
+import random
+from functools import reduce
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import helpers
 from borrays.diagrams import bar, builtin, concat, from_braid
@@ -117,6 +120,64 @@ def test_abelianizations():
     p = FinitePresentation(("a", "b"), ((("a", 1), ("b", 1), ("a", 1), ("b", 1)),))
     assert abelianization(p) == AbelianInvariants(1, (2,))
     assert abelianization(FinitePresentation((), ())) == AbelianInvariants(0, ())
+
+
+def _matrix_presentation(mat):
+    """One generator per column; row i is the relator g0^m[i][0] g1^m[i][1] ..."""
+    gens = tuple(f"g{j}" for j in range(len(mat[0])))
+    return FinitePresentation(gens, tuple(
+        tuple((g, 1 if v > 0 else -1) for g, v in zip(gens, row) for _ in range(abs(v)))
+        for row in mat
+    ))
+
+
+def test_invariant_factor_oracle():
+    assert helpers.invariant_factors([[4, 0], [0, 6]]) == [2, 12]
+    assert helpers.invariant_factors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
+    assert helpers.invariant_factors([[0, 0], [0, 0]]) == []
+    assert helpers.invariant_factors([[1, 2], [2, 4]]) == [1]
+
+
+def test_coefficient_blowup_matrix_abelianizes():
+    """A dense least-entry elimination ran out of time on this matrix: its
+    entries passed 400 bits by the fourth pivot.  It presents the trivial
+    group abelianized."""
+    mat = [
+        [1, 3, 0, 4, 4, 6],
+        [-6, 3, 1, 2, -2, -2],
+        [1, 0, 2, 2, 6, 1],
+        [1, 3, 4, -6, 0, 2],
+        [-6, 4, -2, 4, -1, 0],
+        [4, -1, 2, -1, 2, -6],
+        [6, 6, 2, 1, -6, 0],
+    ]
+    assert abelianization(_matrix_presentation(mat)) == AbelianInvariants(0, ())
+    assert helpers.invariant_factors(mat) == [1] * 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(helpers.integer_matrices())
+@example([[0]])
+@example([[3, 0, -6]])
+@example([[4], [-6], [0]])
+@example([[0, 0, 0], [2, 0, 4], [0, 0, 0]])
+@example([[12, 0], [0, 8]])
+def test_abelianization_matches_minor_oracle(mat):
+    factors = helpers.invariant_factors(mat)
+    expected = AbelianInvariants(len(mat[0]) - len(factors),
+                                 tuple(f for f in factors if f > 1))
+    assert abelianization(_matrix_presentation(mat)) == expected
+
+
+def test_long_block_word_has_free_abelian_rank_2():
+    """Every 3-strand block word has H1 = Z^2, however long."""
+    rng = random.Random(200)
+    names = ("A", "Ab", "As", "Abs", "dirac", "eps3")
+    word = [rng.choice(names) for _ in range(200)]
+    p = presentation(reduce(concat, map(builtin, word)))
+    crossings = 6 * sum(name != "eps3" for name in word)
+    assert (len(p.generators), len(p.relators)) == (3 + crossings, crossings + 1)
+    assert abelianization(p) == AbelianInvariants(2, ())
 
 
 def test_format_presentation_capital_inverse():
