@@ -1,193 +1,254 @@
-"""Pure-Python backtracking kernel for homomorphism search.
+"""Pure-Python search kernel for homomorphisms into a subgroup of Sym(n).
 
 The one search kernel behind every count in :mod:`borrays.homcount`.
-Generators are assigned depth-first in a fixed order; each relator is
-checked as soon as all of its generators are assigned, and a relator in
-which exactly one unassigned generator occurs exactly once is solved
-directly instead of searched.
 
-Propagation is incremental: each relator tracks its number of unassigned
-letter occurrences, and assigning a generator only touches the relators
-it occurs in.
+Elements are indices.  :func:`symmetric_group` lists Sym(n) in sorted
+order (0-based image tuples), so index 0 is the identity, and builds its
+Cayley table once per count: ``mul[a][b]`` is the index of the product
+``a·b``, where ``(a·b)[i] = a[b[i]]``, with one ``array('H')`` row per
+element, and ``inv[a]`` is the index of ``a``'s inverse.  A subgroup
+(Sym(n) itself, or a centralizer) shares the table and adds its elements
+in ascending order and a member bytearray.  The table holds (n!)^2
+two-byte entries: 1 MB for Sym(6), 51 MB for Sym(7), and 3.3 GB for
+Sym(8), which is why ``homcount.MAX_DEGREE`` is 7.
 
-The candidate group comes as a *group table* (:func:`group_table`), built
-once per group by the caller: it maps every element, in sorted order, to
-the pair (the element's own tuple, its inverse's own tuple).  Assigning a
-generator stores both, so a relator check or solve reads ``images[g]`` or
-``inverses[g]`` and never inverts.  A solve composes the cyclic rotation
-of the relator that starts after the open letter: ``pre · g^e · post = id``
-gives ``g^e = (post · pre)^-1``, so ``g`` is the product of the rotation's
-inverse letters in reverse order when ``e = +1`` and of its letters as
-they are when ``e = -1``.  The solved value is then looked up in the
-table, which both checks membership and returns the group's own tuples,
-so collected homs share them.
+The cascade is compiled once per presentation.  A relator is checked as
+soon as all of its generators are assigned, and a relator in which
+exactly one unassigned generator occurs exactly once solves that
+generator instead of searching it: ``pre · g^e · post = id`` gives
+``g^e = (post · pre)^-1``, so ``g`` is the product of the rotation
+``post · pre``'s inverse letters in reverse order when ``e = +1`` and of
+its letters as they are when ``e = -1``.  Which relators solve or check
+depends only on *which* generators are assigned, not on their values, so
+:func:`compile_plan` replays this propagation over generator sets and
+records a straight-line program (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005): the steps that close before any
+assignment, then, for each branching generator in order, one
+:class:`Level` of solve steps and check words.  Replaying the
+propagation keeps the search tree: a node fails exactly when some
+relator closed at it fails, whichever relator solves a generator.
+
+:func:`search_homs` walks the levels with an explicit stack of iterators
+over the group's elements.  Each generator's image and its inverse sit in
+two registers, so a step is a word of register reads multiplied through
+the table.  Every solved value is checked for membership in the group.
 """
+
+from array import array
+from itertools import permutations
 
 from .errors import BudgetExceededError
 
-__all__ = ["group_table", "search_homs"]
+__all__ = ["Group", "Level", "Plan", "symmetric_group", "compile_plan",
+           "search_homs"]
 
 
-def _invert(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
+class Group:
+    """A subgroup of Sym(n) whose elements are indices into ``perms``.
 
-
-def group_table(elements):
-    """{p: (p, p^-1)} over a permutation group, keys in sorted order.
-
-    elements: the group's permutations as 0-based image tuples, closed
-    under inversion.  Both tuples of each pair are the group's own
-    objects, so a key's inverse is itself a key of the table.
+    perms: Sym(n)'s permutations as 0-based image tuples, sorted.
+    mul: ``mul[a][b]`` is the index of a·b.
+    inv: ``inv[a]`` is the index of a^-1.
+    elements: this subgroup's element indices, ascending.
+    member: ``member[a]`` is 1 iff ``a`` is an element.
     """
-    own = {p: p for p in elements}
-    return {p: (p, own[_invert(p)]) for p in sorted(own)}
+
+    __slots__ = ("perms", "mul", "inv", "elements", "member")
+
+    def __init__(self, perms, mul, inv, elements, member):
+        self.perms, self.mul, self.inv = perms, mul, inv
+        self.elements, self.member = elements, member
+
+    def subgroup(self, elements):
+        """The subgroup with these elements, given in ascending order."""
+        elements = list(elements)
+        member = bytearray(len(self.perms))
+        for x in elements:
+            member[x] = 1
+        return Group(self.perms, self.mul, self.inv, elements, member)
 
 
-def search_homs(n, num_gens, relators, order, table, fixed, budget, collect):
-    """Count (and optionally collect) relator-satisfying assignments.
+def symmetric_group(n):
+    """Sym(n) with its Cayley table."""
+    perms = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    # Left multiplication by each adjacent transposition s, as an index
+    # map.  The row of s·a is then the row of a mapped through s's map.
+    lefts = []
+    for i in range(n - 1):
+        s = list(range(n))
+        s[i], s[i + 1] = s[i + 1], s[i]
+        lefts.append([index[tuple(s[x] for x in p)] for p in perms])
+    mul = [None] * len(perms)
+    mul[0] = array("H", range(len(perms)))
+    reached = [0]
+    for a in reached:
+        for left in lefts:
+            b = left[a]
+            if mul[b] is None:
+                mul[b] = array("H", map(left.__getitem__, mul[a]))
+                reached.append(b)
+    inv = [row.index(0) for row in mul]
+    return Group(perms, mul, inv, range(len(perms)), bytearray([1]) * len(perms))
 
-    n: symmetric-group degree; permutations are 0-based image tuples.
+
+class Level:
+    """The steps that close once ``gen`` is assigned.
+
+    gen: the branching generator; None for the pre-cascade.
+    solves, checks: steps ``(first, rest, register)``, the product of the
+        register values ``first, *rest``.  A solve stores it in
+        ``register`` (a generator's image; its inverse goes to
+        ``register + 1``); a check requires it to equal ``register``'s
+        value.
+    """
+
+    __slots__ = ("gen", "solves", "checks")
+
+    def __init__(self, gen, solves, checks):
+        self.gen, self.solves, self.checks = gen, solves, checks
+
+
+class Plan:
+    """A compiled search: the pre-cascade, then one level per branch."""
+
+    __slots__ = ("num_gens", "pre", "levels")
+
+    def __init__(self, num_gens, pre, levels):
+        self.num_gens, self.pre, self.levels = num_gens, pre, levels
+
+
+def compile_plan(num_gens, relators, order):
+    """The search plan for ``relators`` branching in ``order``.
+
     relators: sequences of (generator index, +-1) letters.
-    order: assignment order over all generator indices.
-    table: a :func:`group_table`; every generator ranges over its keys
-        (a subgroup of Sym(n)), in order.
-    fixed: list of (generator index, permutation) preassignments, one
-        per generator at most.
-    budget: cap on candidate assignments tried.
-    collect: if true, also return the list of homs (tuples of permutations
-        indexed by generator), in enumeration order.
+    order: generator indices; one already assigned or solved when its
+        turn comes is skipped, so every level branches.
 
-    Returns (count, homs or None, nodes).
+    Register ``2g`` holds generator ``g``'s image and ``2g + 1`` its
+    inverse; register ``2 * num_gens`` holds the identity.
     """
-    images = [None] * num_gens
-    inverses = [None] * num_gens
-    sat = [False] * len(relators)
-    unassigned = [len(rel) for rel in relators]
+    identity = 2 * num_gens
     occ = [[] for _ in range(num_gens)]
     for ri, rel in enumerate(relators):
         for g, _ in rel:
             occ[g].append(ri)
-    rel_gens = [tuple(g for g, _ in rel) for rel in relators]
+    known = [False] * num_gens
+    unassigned = [len(rel) for rel in relators]
+    closed = [False] * len(relators)
 
-    # A word is (first read, later reads); a read is (list, index), so it
-    # sees the current assignment.  The empty word reads the identity.
-    empty = ([tuple(range(n))], 0)
+    def step(word, register):
+        if not word:
+            return identity, (), register
+        return word[0], tuple(word[1:]), register
 
-    def word(reads):
-        return (reads[0], tuple(reads[1:])) if reads else (empty, ())
-
-    # checks[ri]: a full relator holds iff the word of its letters but the
-    # last multiplies to the last letter's inverse.  solves[ri][pos]: the
-    # word whose product is the generator at pos, the rotation's letters or
-    # its inverse letters reversed; only a generator occurring once in the
-    # relator can be the open one.
-    checks, solves = [], []
-    for rel, gens in zip(relators, rel_gens):
-        reads = [(images if e > 0 else inverses, g) for g, e in rel]
-        back = [(inverses if e > 0 else images, g) for g, e in reversed(rel)]
-        k = len(rel)
-        checks.append((word(reads[:-1]), back[0] if rel else empty))
-        solves.append([
-            (word(back[k - pos:] + back[:k - 1 - pos]) if e > 0
-             else word(reads[pos + 1:] + reads[:pos]))
-            if gens.count(g) == 1 else None
-            for pos, (g, e) in enumerate(rel)
-        ])
-
-    homs = [] if collect else None
-    count = nodes = 0
-
-    def assign(g, pair, gen_trail, rel_queue):
-        images[g], inverses[g] = pair
-        gen_trail.append(g)
+    def assign(g, queue):
+        known[g] = True
         for ri in occ[g]:
             unassigned[ri] -= 1
-            if not sat[ri] and unassigned[ri] <= 1:
-                rel_queue.append(ri)
+            if not closed[ri] and unassigned[ri] <= 1:
+                queue.append(ri)
 
-    def propagate(rel_queue, gen_trail, sat_trail):
-        """Check or solve each queued relator; False on contradiction."""
-        while rel_queue:
-            ri = rel_queue.pop()
-            if sat[ri] or unassigned[ri] > 1:
+    def level(gen, queue):
+        """Replay the propagation that follows assigning ``gen``."""
+        solves, checks = [], []
+        if gen is not None:
+            assign(gen, queue)
+        while queue:
+            ri = queue.pop()
+            if closed[ri] or unassigned[ri] > 1:
                 continue
+            closed[ri] = True
+            rel = relators[ri]
+            regs = [2 * g + (e < 0) for g, e in rel]
             if unassigned[ri]:
-                gens = rel_gens[ri]
-                pos = 0
-                while images[gens[pos]] is not None:
-                    pos += 1
-                (arr, h), rest = solves[ri][pos]
-                val = arr[h]
-                for arr, h in rest:
-                    val = tuple(map(val.__getitem__, arr[h]))
-                pair = table.get(val)
-                if pair is None:
-                    return False
-                sat[ri] = True
-                sat_trail.append(ri)
-                assign(gens[pos], pair, gen_trail, rel_queue)
-            else:
-                ((arr, h), rest), target = checks[ri]
-                val = arr[h]
-                for arr, h in rest:
-                    val = tuple(map(val.__getitem__, arr[h]))
-                arr, h = target
-                if val != arr[h]:
-                    return False
-                sat[ri] = True
-                sat_trail.append(ri)
+                pos = next(i for i, (g, _) in enumerate(rel) if not known[g])
+                g, e = rel[pos]
+                rotation = regs[pos + 1:] + regs[:pos]  # post · pre
+                if e > 0:
+                    rotation = [r ^ 1 for r in reversed(rotation)]
+                solves.append(step(rotation, 2 * g))
+                assign(g, queue)
+            elif rel:  # all but the last letter multiply to its inverse
+                checks.append(step(regs[:-1], regs[-1] ^ 1))
+        return Level(gen, tuple(solves), tuple(checks))
+
+    pre = level(None, [ri for ri in range(len(relators)) if unassigned[ri] <= 1])
+    levels = tuple(level(g, []) for g in order if not known[g])
+    return Plan(num_gens, pre, levels)
+
+
+def search_homs(plan, group, fixed, budget, collect):
+    """Count (and optionally collect) the homs a plan accepts into ``group``.
+
+    plan: a :func:`compile_plan` result.
+    group: a :class:`Group`; every generator ranges over its elements.
+    fixed: element indices for the plan's first ``len(fixed)`` levels,
+        which are not branched and count no nodes.
+    budget: cap on candidate assignments tried.
+    collect: if true, also return the list of homs (tuples of element
+        indices indexed by generator), in enumeration order.
+
+    Returns (count, homs or None, nodes).
+    """
+    mul, inv, member = group.mul, group.inv, group.member
+    val = [0] * (2 * plan.num_gens + 1)
+    homs = [] if collect else None
+
+    def settle(level, x):
+        """Assign ``x`` to the level's generator; do its steps all hold?"""
+        if level.gen is not None:
+            if not member[x]:
+                return False
+            val[2 * level.gen] = x
+            val[2 * level.gen + 1] = inv[x]
+        for first, rest, reg in level.solves:
+            v = val[first]
+            for r in rest:
+                v = mul[v][val[r]]
+            if not member[v]:
+                return False
+            val[reg] = v
+            val[reg + 1] = inv[v]
+        for first, rest, reg in level.checks:
+            v = val[first]
+            for r in rest:
+                v = mul[v][val[r]]
+            if v != val[reg]:
+                return False
         return True
 
-    def undo(gen_trail, sat_trail):
-        for g in gen_trail:
-            images[g] = None
-            for ri in occ[g]:
-                unassigned[ri] += 1
-        for ri in sat_trail:
-            sat[ri] = False
+    levels = plan.levels
+    start = len(fixed)
+    if not all(settle(level, x)
+               for level, x in zip((plan.pre,) + levels, (None, *fixed))):
+        return 0, homs, 0
+    if start == len(levels):
+        if collect:
+            homs.append(tuple(val[0:-1:2]))
+        return 1, homs, 0
 
-    def dfs(pos):
-        nonlocal count, nodes
-        while pos < len(order) and images[order[pos]] is not None:
-            pos += 1
-        if pos == len(order):
-            count += 1
-            if collect:
-                homs.append(tuple(images))
-            return
-        g = order[pos]
-        for pair in table.values():
+    last = len(levels) - 1
+    elements = group.elements
+    its = [None] * len(levels)
+    its[start] = iter(elements)
+    depth = start
+    count = nodes = 0
+    while depth >= start:
+        level = levels[depth]
+        for x in its[depth]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(budget)
-            gen_trail, sat_trail, rel_queue = [], [], []
-            assign(g, pair, gen_trail, rel_queue)
-            if propagate(rel_queue, gen_trail, sat_trail):
-                dfs(pos + 1)
-            undo(gen_trail, sat_trail)
-
-    gen_trail, sat_trail = [], []
-    # Relators solvable (or checkable) before anything is assigned.
-    rel_queue = [ri for ri in range(len(relators)) if unassigned[ri] <= 1]
-    ok = True
-    for g, p in fixed:
-        pair = table.get(tuple(p))
-        if pair is None:
-            ok = False
-            break
-        assign(g, pair, gen_trail, rel_queue)
-    if ok:
-        ok = propagate(rel_queue, gen_trail, sat_trail)
-    try:
-        if ok:
-            dfs(0)
-    finally:
-        # dfs reaches itself through its closure.  Breaking that cycle frees
-        # this call's relator words on return, not at a later full garbage
-        # collection, so they do not pile up over a count's kernel calls.
-        dfs = None
-    undo(gen_trail, sat_trail)
+            if settle(level, x):
+                if depth == last:
+                    count += 1
+                    if collect:
+                        homs.append(tuple(val[0:-1:2]))
+                else:
+                    depth += 1
+                    its[depth] = iter(elements)
+                    break
+        else:
+            depth -= 1
     return count, homs, nodes

@@ -14,17 +14,20 @@ image's centralizer, each term weighted by its orbit sizes.  Enumeration
 stays unreduced, so it remains an independent cross-check.
 
 ``budget`` caps the search nodes of a whole count, summed over its kernel
-calls.  The backtracking search runs in the pure-Python kernel
-:mod:`borrays._homsearch_py`.  Its group table (each element paired with
-its inverse) is built once per group: once for Sym(n), and once per
-centralizer as a sub-table of Sym(n)'s, so every kernel call of a count
-reuses it, and the collected homs of an enumeration share its tuples.
-Degrees above ``MAX_DEGREE`` are refused, because the counts list every
-element of Sym(n).
+calls.  The search runs in the pure-Python kernel
+:mod:`borrays._homsearch_py`, on group elements as indices into sorted
+Sym(n) with a Cayley table, built once per count: for Sym(n), and per
+centralizer as a member set over Sym(n)'s table.  Each count compiles
+its presentation once into a search plan (:func:`_compiled`): the
+relators solved or checked at each branching generator.  The
+orbit split's two fixed images are values for the plan's first two
+levels.  Enumeration converts indices to :class:`Permutation` only at
+its edge.  Degrees above ``MAX_DEGREE`` are refused, because the table
+of Sym(n) holds (n!)^2 entries.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
 
 from . import _homsearch_py as _kernel
@@ -46,9 +49,9 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**10
 
-# Every count lists all of Sym(n): Sym(9) peaks at about 57 MB, while
-# Sym(10) has 3.6M elements and can exhaust a shared machine's memory.
-MAX_DEGREE = 9
+# Every count builds the Cayley table of Sym(n), (n!)^2 two-byte entries:
+# 51 MB for Sym(7), while Sym(8)'s would need about 3.3 GB.
+MAX_DEGREE = 7
 
 
 def kernel_name() -> str:
@@ -94,22 +97,24 @@ class HomClassCount:
 
 
 def _compiled(p: FinitePresentation):
-    """Map generator symbols to indices and relators to letter lists."""
+    """The presentation's search plan, generators in declared order."""
     gens = list(p.generators)
     index = {g: i for i, g in enumerate(gens)}
     relators = tuple(tuple((index[g], e) for g, e in rel) for rel in p.relators)
     order = _assignment_order(len(gens), relators, gens)
-    return gens, index, relators, order
+    return _kernel.compile_plan(len(gens), relators, order)
 
 
 def _assignment_order(num_gens, relators, names):
-    """Deterministic search order chosen by simulating propagation.
+    """Deterministic branching order chosen by simulating propagation.
 
     The kernel solves a relator once it has a single unassigned letter
-    occurrence and checks it once it has none.  Greedily pick the next
-    generator whose assignment (plus the resulting cascade of solved
-    generators) yields the most checked relators, then the longest
-    cascade; remaining ties fall to occurrence count and name.
+    occurrence and checks it once it has none.  Start from what is solved
+    before any assignment (one-letter relators and their cascade), then
+    greedily pick the next generator whose assignment (plus the resulting
+    cascade of solved generators) yields the most checked relators, then
+    the longest cascade; remaining ties fall to occurrence count and name.
+    Every generator in the order is a branching level of the plan.
     """
     occ = [[] for _ in range(num_gens)]
     for ri, rel in enumerate(relators):
@@ -117,14 +122,15 @@ def _assignment_order(num_gens, relators, names):
             occ[g].append(ri)
     rel_gens = [tuple(g for g, _ in rel) for rel in relators]
 
-    def simulate(g, assigned, counts):
+    def simulate(start, assigned, counts):
         assigned = assigned.copy()
         counts = counts.copy()
         cascade, checks = 0, 0
-        stack = [g]
+        for g in start:
+            assigned[g] = True
+        stack = list(start)
         while stack:
             h = stack.pop()
-            assigned[h] = True
             for ri in occ[h]:
                 counts[ri] -= 1
                 if counts[ri] == 0:
@@ -139,15 +145,16 @@ def _assignment_order(num_gens, relators, names):
                         stack.append(h2)
         return checks, cascade, assigned, counts
 
-    assigned = [False] * num_gens
-    counts = [len(rel) for rel in relators]
+    pre = sorted({rel[0] for rel in rel_gens if len(rel) == 1})
+    _, _, assigned, counts = simulate(
+        pre, [False] * num_gens, [len(rel) for rel in relators])
     order = []
     while not all(assigned):
         best = None
         for g in range(num_gens):
             if assigned[g]:
                 continue
-            checks, cascade, a2, c2 = simulate(g, assigned, counts)
+            checks, cascade, a2, c2 = simulate([g], assigned, counts)
             key = (-checks, -cascade, -len(occ[g]), names[g])
             if best is None or key < best[0]:
                 best = (key, g, a2, c2)
@@ -164,11 +171,6 @@ def _check_degree(n):
         )
 
 
-def _sym(n):
-    """The group table of Sym(n)."""
-    return _kernel.group_table(permutations(range(n)))
-
-
 class _Budget:
     """One node counter shared by every kernel call of a count."""
 
@@ -176,14 +178,11 @@ class _Budget:
         self.limit = limit
         self.spent = 0
 
-    def search(self, n, compiled, table, fixed, collect=False):
+    def search(self, plan, group, fixed=(), collect=False):
         """Run the kernel on what is left of the budget; (count, homs)."""
-        gens, _, relators, order = compiled
         try:
             count, homs, nodes = _kernel.search_homs(
-                n, len(gens), relators, order, table, fixed,
-                self.limit - self.spent, collect,
-            )
+                plan, group, fixed, self.limit - self.spent, collect)
         except BudgetExceededError:
             raise BudgetExceededError(self.limit) from None
         self.spent += nodes
@@ -197,10 +196,11 @@ def enumerate_homs(p: FinitePresentation, n: int, budget: int = DEFAULT_BUDGET):
     The search runs, and a degree above ``MAX_DEGREE`` is refused, on call.
     """
     _check_degree(n)
-    _, homs = _Budget(budget).search(n, _compiled(p), _sym(n), [], collect=True)
+    sym = _kernel.symmetric_group(n)
+    _, homs = _Budget(budget).search(_compiled(p), sym, collect=True)
     return (
-        {g: Permutation.from_zero_based(perm)
-         for g, perm in zip(p.generators, hom)}
+        {g: Permutation.from_zero_based(sym.perms[x])
+         for g, x in zip(p.generators, hom)}
         for hom in homs
     )
 
@@ -240,46 +240,47 @@ def conjugacy_classes(n: int):
 def _conjugation_orbits(acting, group):
     """(representative, orbit size) per orbit of ``acting`` on ``group``.
 
-    ``acting`` is a subgroup of ``group`` acting by conjugation, given as
-    (element, inverse) pairs; representatives are the first orbit members
-    in ``group``'s order.
+    ``acting`` lists elements of the :class:`~borrays._homsearch_py.Group`
+    ``group``, a subgroup acting by conjugation; representatives are the
+    first orbit members in ``group``'s order.
     """
-    seen = set()
+    mul, inv = group.mul, group.inv
+    seen = bytearray(len(mul))
     out = []
-    for y in group:
-        if y in seen:
+    for y in group.elements:
+        if seen[y]:
             continue
-        # h y h^-1
-        orbit = {tuple(h[y[i]] for i in hinv) for h, hinv in acting}
-        seen |= orbit
+        orbit = {mul[mul[h][y]][inv[h]] for h in acting}  # h y h^-1
+        for z in orbit:
+            seen[z] = 1
         out.append((y, len(orbit)))
     return out
 
 
-def _count_into(compiled, n, table, budget: _Budget) -> int:
-    """Homomorphisms into the group whose group table is ``table``.
+def _count_into(plan, group, budget: _Budget) -> int:
+    """Homomorphisms into ``group``, a subgroup of Sym(n) with its table.
 
-    Conjugating the images of the first two generators in assignment order
-    by one element of the group does not change the number of
-    homomorphisms extending them, even when propagation solves the second.
-    So the first ranges over one representative per conjugacy class of the
-    group, the second over one representative per orbit of the first
-    image's centralizer in the group, and each kernel call is weighted by
-    both orbit sizes.
+    Conjugating the images of the first two branching generators by one
+    element of the group does not change the number of homomorphisms
+    extending them.  So the first ranges over one representative per
+    conjugacy class of the group, the second over one representative per
+    orbit of the first image's centralizer in the group, and each kernel
+    call is weighted by both orbit sizes.  They are values for the plan's
+    first two levels.
     """
-    _, _, _, order = compiled
-    terms = [([], 1)]
-    for g in order[:2]:
+    mul = group.mul
+    terms = [((), 1)]
+    for _ in plan.levels[:2]:
         terms = [
-            (fixed + [(g, y)], weight * size)
+            (fixed + (y,), weight * size)
             for fixed, weight in terms
             for y, size in _conjugation_orbits(
-                [pair for h, pair in table.items()
-                 if all(_commutes(h, x) for _, x in fixed)],
-                table,
+                [h for h in group.elements
+                 if all(mul[h][x] == mul[x][h] for x in fixed)],
+                group,
             )
         ]
-    return sum(weight * budget.search(n, compiled, table, fixed)[0]
+    return sum(weight * budget.search(plan, group, fixed)[0]
                for fixed, weight in terms)
 
 
@@ -287,19 +288,25 @@ def count_total(p: FinitePresentation, n: int,
                 budget: int = DEFAULT_BUDGET) -> int:
     """Total homomorphisms into Sym(n)."""
     _check_degree(n)
-    return _count_into(_compiled(p), n, _sym(n), _Budget(budget))
+    return _count_into(_compiled(p), _kernel.symmetric_group(n),
+                       _Budget(budget))
 
 
-def _orbit_count(homs, n):
+def _orbit_count(homs, group):
     """Orbits of the hom set under simultaneous conjugation.
 
+    ``homs`` are tuples of element indices of the
+    :class:`~borrays._homsearch_py.Group` ``group``, a symmetric group.
     Closure is generated by the adjacent transpositions (i, i+1).
     """
-    transpositions = []
+    mul, perms = group.mul, group.perms
+    n = len(perms[0])
+    conjugations = []
     for i in range(n - 1):
         t = list(range(n))
         t[i], t[i + 1] = t[i + 1], t[i]
-        transpositions.append(tuple(t))
+        t = bisect_left(perms, tuple(t))
+        conjugations.append([mul[mul[t][x]][t] for x in range(len(perms))])
     hom_set = set(homs)
     seen = set()
     orbits = 0
@@ -311,8 +318,8 @@ def _orbit_count(homs, n):
         seen.add(hom)
         while stack:
             cur = stack.pop()
-            for t in transpositions:
-                conj = tuple(tuple(t[perm[t[i]]] for i in range(n)) for perm in cur)
+            for by in conjugations:
+                conj = tuple(map(by.__getitem__, cur))
                 if conj not in seen:
                     if conj not in hom_set:
                         raise IntegrityError("hom set is not conjugation-closed")
@@ -326,8 +333,9 @@ def count_classes_enumerate(p: FinitePresentation, n: int,
     """Class count by full enumeration and explicit orbit partitioning."""
     _check_degree(n)
     budget = _Budget(budget)
-    count, homs = budget.search(n, _compiled(p), _sym(n), [], collect=True)
-    return HomClassCount(n, count, _orbit_count(homs, n), "enumerate",
+    sym = _kernel.symmetric_group(n)
+    count, homs = budget.search(_compiled(p), sym, collect=True)
+    return HomClassCount(n, count, _orbit_count(homs, sym), "enumerate",
                          budget.spent)
 
 
@@ -340,23 +348,21 @@ def count_classes_burnside(p: FinitePresentation, n: int,
     The identity's centralizer is Sym(n), so its term is the total.
     """
     _check_degree(n)
-    compiled = _compiled(p)
+    plan = _compiled(p)
     budget = _Budget(budget)
-    sym = _sym(n)
+    sym = _kernel.symmetric_group(n)
+    mul = sym.mul
     total = None
     acc = 0
     for rep, size in conjugacy_classes(n):
-        centralizer = {q: pair for q, pair in sym.items()
-                       if _commutes(q, rep)}
-        fixed_count = _count_into(compiled, n, centralizer, budget)
-        if rep == tuple(range(n)):
+        r = bisect_left(sym.perms, rep)
+        centralizer = sym.subgroup(q for q in sym.elements
+                                   if mul[q][r] == mul[r][q])
+        fixed_count = _count_into(plan, centralizer, budget)
+        if r == 0:
             total = fixed_count
         acc += size * fixed_count
     if acc % factorial(n):
         raise IntegrityError("Burnside sum is not divisible by n!")
     return HomClassCount(n, total, acc // factorial(n), "burnside",
                          budget.spent)
-
-
-def _commutes(a, b):
-    return all(a[b[i]] == b[a[i]] for i in range(len(a)))

@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--deep",
         action="store_true",
         default=False,
-        help="also verify the Sym(6) values (no runtime bound)",
+        help="also verify the Sym(6) values and A into Sym(7) (no runtime bound)",
     )
 
 

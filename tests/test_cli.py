@@ -12,7 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borrays import cli, diagrams, groupoid
-from borrays.homcount import count_classes_burnside, count_classes_enumerate
+from borrays.homcount import (
+    MAX_DEGREE,
+    count_classes_burnside,
+    count_classes_enumerate,
+)
 from borrays.presentations import presentation
 
 
@@ -53,12 +57,13 @@ def test_homcount_requires_deep_for_sym6(capsys):
 
 @pytest.mark.parametrize("deep", [(), ("--deep",)])
 def test_homcount_degree_above_max_is_a_user_error(capsys, deep):
-    code, out, err = run(capsys, "homcount", "--expr", "A", "--sym", "10",
-                         *deep)
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert "MAX_DEGREE = 9" in err
+    for sym in (MAX_DEGREE + 1, 10):
+        code, out, err = run(capsys, "homcount", "--expr", "A",
+                             "--sym", str(sym), *deep)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert f"MAX_DEGREE = {MAX_DEGREE}" in err
 
 
 def test_homcount_budget_exhaustion(capsys):

@@ -18,7 +18,7 @@ from borrays.homcount import (
     enumerate_homs,
     kernel_name,
 )
-from borrays.homcount import _Budget, _compiled, _count_into, _kernel, _sym
+from borrays.homcount import _Budget, _compiled, _count_into, _kernel
 from borrays.presentations import FinitePresentation, presentation
 
 from itertools import permutations, product
@@ -178,12 +178,18 @@ def test_kernel_name_reports_a_kernel():
 
 def _search(n, num_gens, relators, candidates=None, budget=DEFAULT_BUDGET,
             collect=True):
-    """One kernel call in generator order; candidates default to Sym(n)."""
-    if candidates is None:
-        candidates = permutations(range(n))
-    return _kernel.search_homs(n, num_gens, relators, list(range(num_gens)),
-                               _kernel.group_table(candidates), [], budget,
-                               collect)
+    """One kernel call in generator order; candidates default to Sym(n).
+
+    Homs come back as tuples of permutations, not of element indices.
+    """
+    group = _kernel.symmetric_group(n)
+    if candidates is not None:
+        group = group.subgroup(sorted(group.perms.index(q) for q in candidates))
+    plan = _kernel.compile_plan(num_gens, relators, range(num_gens))
+    count, homs, nodes = _kernel.search_homs(plan, group, (), budget, collect)
+    if homs is not None:
+        homs = [tuple(group.perms[x] for x in hom) for hom in homs]
+    return count, homs, nodes
 
 
 _XYZ = (((0, 1), (1, 1), (2, 1)),)  # the relator x y z
@@ -267,28 +273,57 @@ def test_kernel_matches_brute_force(case, n):
     assert homs == want
 
 
-def test_collected_homs_share_the_group_tuples():
-    for name, n in (("eps3", 4), ("A", 4)):
-        gens, _, relators, order = _compiled(presentation(builtin(name)))
-        table = _sym(n)
-        count, homs, nodes = _kernel.search_homs(
-            n, len(gens), relators, order, table, [], DEFAULT_BUDGET, True)
-        assert count == len(homs) > 0
-        for hom in homs:
-            assert all(image is table[image][0] for image in hom)
-        if name == "eps3":
-            # x1 y1 z1: the first two generators are branched over all 24
-            # elements and the third is always solved, never branched.
-            assert nodes == 24 + 24 * 24 and count == 24 * 24
+def test_cayley_table_multiplies_in_relator_order():
+    for n in (1, 2, 3, 4):
+        group = _kernel.symmetric_group(n)
+        perms = group.perms
+        assert perms == sorted(permutations(range(n)))
+        assert perms[0] == tuple(range(n))
+        for a, p in enumerate(perms):
+            for b, q in enumerate(perms):
+                want = _relator_value(((0, 1), (1, 1)), (p, q), n)
+                assert perms[group.mul[a][b]] == want
+            assert group.mul[a][group.inv[a]] == 0
+            assert perms[group.inv[a]] == _relator_value(((0, -1),), (p,), n)
 
 
-def test_group_table_pairs_each_element_with_its_inverse():
-    table = _sym(4)
-    assert list(table) == sorted(permutations(range(4)))
-    for p, (own, inv) in table.items():
-        assert own is p
-        assert inv is table[inv][0]
-        assert tuple(p[i] for i in inv) == tuple(range(4))
+def test_plan_shape_of_a_and_eps3():
+    # A's group is a one-relator group on x2, y2, z2: the other six
+    # generators are solved and x1 y1 z1 is the lone check.
+    p = presentation(builtin("A"))
+    plan = _compiled(p)
+    assert [p.generators[level.gen] for level in plan.levels] == [
+        "x2", "y2", "z2"]
+    assert (plan.pre.solves, plan.pre.checks) == ((), ())
+    assert [len(level.solves) for level in plan.levels] == [0, 2, 4]
+    assert [len(level.checks) for level in plan.levels] == [0, 0, 1]
+    # x1 y1 z1: the first two generators are branched over all 24
+    # elements of Sym(4) and the third is always solved, never branched.
+    p = presentation(builtin("eps3"))
+    plan = _compiled(p)
+    assert [p.generators[level.gen] for level in plan.levels] == ["x1", "y1"]
+    count, homs, nodes = _kernel.search_homs(
+        plan, _kernel.symmetric_group(4), (), DEFAULT_BUDGET, True)
+    assert nodes == 24 + 24 * 24 and count == len(homs) == 24 * 24
+
+
+def test_one_letter_relator_is_not_a_level():
+    # b^-1 solves b before any assignment, so the orbit split fixes a and
+    # c and the Burnside count into Sym(3) branches nowhere.
+    p = FinitePresentation(("a", "b", "c"), ((("b", -1),),))
+    plan = _compiled(p)
+    assert [p.generators[level.gen] for level in plan.levels] == ["a", "c"]
+    r = count_classes_burnside(p, 3)
+    assert (r.total_homs, r.class_count, r.nodes) == (36, 11, 0)
+    assert count_classes_enumerate(p, 3).class_count == 11
+
+
+def test_deep_plans_need_no_recursion():
+    plan = _kernel.compile_plan(1500, (), range(1500))
+    assert len(plan.levels) == 1500
+    count, _, nodes = _kernel.search_homs(
+        plan, _kernel.symmetric_group(1), (), DEFAULT_BUDGET, False)
+    assert (count, nodes) == (1, 1500)
 
 
 def test_search_tree_is_pinned():
@@ -299,6 +334,16 @@ def test_search_tree_is_pinned():
     assert count_classes_burnside(presentation(a_as), 5).nodes == 49_474
     aa = presentation(concat(a, a))
     assert count_classes_enumerate(aa, 4).nodes == 30_552
+
+
+def test_a_into_sym7_is_pinned(deep):
+    # A regression pin, not a published value: the earlier tuple-based
+    # kernel computed these in about 6 minutes.
+    if not deep:
+        pytest.skip("A into Sym(7) runs only under --deep")
+    r = count_classes_burnside(presentation(builtin("A")), 7)
+    assert (r.class_count, r.total_homs, r.nodes) == (7287, 33_586_560,
+                                                      28_342_205)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +366,9 @@ def test_random_presentations_methods_agree(relators):
         assert e.total_homs == b.total_homs
 
 
-def _unsplit(p, n, table):
+def _unsplit(p, n, group):
     """One kernel call over the whole group, nothing fixed."""
-    gens, _, relators, order = _compiled(p)
-    return _kernel.search_homs(n, len(gens), relators, order, table, [],
-                               DEFAULT_BUDGET, False)[0]
+    return _kernel.search_homs(_compiled(p), group, (), DEFAULT_BUDGET, False)[0]
 
 
 _rand_words3 = st.lists(
@@ -342,10 +385,11 @@ def test_orbit_split_matches_unsplit_search(relators, rank, n):
     relators = [tuple(letter for letter in rel if letter[0] in gens)
                 for rel in relators]
     p = FinitePresentation(gens, tuple(relators))
-    sym = _sym(n)
+    sym = _kernel.symmetric_group(n)
     assert count_total(p, n) == _unsplit(p, n, sym)
     for rep, _ in conjugacy_classes(n):
-        centralizer = _kernel.group_table(
-            q for q in sym if all(q[rep[i]] == rep[q[i]] for i in range(n)))
-        got = _count_into(_compiled(p), n, centralizer, _Budget(DEFAULT_BUDGET))
+        centralizer = sym.subgroup(
+            x for x, q in enumerate(sym.perms)
+            if all(q[rep[i]] == rep[q[i]] for i in range(n)))
+        got = _count_into(_compiled(p), centralizer, _Budget(DEFAULT_BUDGET))
         assert got == _unsplit(p, n, centralizer)
