@@ -31,10 +31,10 @@ __all__ = ["main"]
 
 def _diagram_from_args(args):
     """Build the diagram from --expr (builtin word) or --file (JSON)."""
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             return diagrams.from_json(fh.read())
-    if not getattr(args, "expr", None):
+    if not args.expr:
         raise ValueError("one of --expr or --file is required")
     blocks = [diagrams.builtin(tok) for tok in args.expr.split()]
     if not blocks:
@@ -118,9 +118,8 @@ def _cmd_groupoid(args, out):
     if args.emit == "table2":
         if args.json:
             grid = groupoid.cell_grid(realized)
-            names = {frozenset(): "", groupoid.A3: "A3", groupoid.C3: "C"}
             obj = {
-                f"{c.name},{b:+d},{d.name},{e:+d}": names[perms]
+                f"{c.name},{b:+d},{d.name},{e:+d}": groupoid.CELL_NAMES[perms]
                 for (c, b, d, e), perms in sorted(
                     grid.items(),
                     key=lambda kv: (kv[0][0], -kv[0][1], kv[0][2], -kv[0][3]),
@@ -211,8 +210,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("present", help="print a tangle-complement presentation")
-    p.add_argument("--expr", help="block word, e.g. 'A Abs' (leftmost innermost)")
-    p.add_argument("--file", help="diagram JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--expr", help="block word, e.g. 'A Abs' (leftmost innermost)")
+    source.add_argument("--file", help="diagram JSON file")
     p.add_argument("--simplify", action="store_true",
                    help="apply Tietze simplification")
     p.add_argument("--outer-vertex", action="store_true",
@@ -223,8 +223,9 @@ def _build_parser():
 
     p = sub.add_parser("homcount",
                        help="count homomorphism classes into Sym(n)")
-    p.add_argument("--expr", help="block word, e.g. 'A Abs'")
-    p.add_argument("--file", help="diagram JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--expr", help="block word, e.g. 'A Abs'")
+    source.add_argument("--file", help="diagram JSON file")
     p.add_argument("--sym", type=int, required=True, metavar="N",
                    help="symmetric group degree")
     p.add_argument("--method", choices=("enumerate", "burnside", "both"),

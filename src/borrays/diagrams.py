@@ -360,7 +360,11 @@ def _typed(value, kind, name):
 
 
 def from_json(text: str) -> AnnularDiagram:
-    obj = _typed(json.loads(text), dict, "the document")
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("malformed diagram JSON: nested too deeply") from None
+    obj = _typed(doc, dict, "the document")
     try:
         strands = [
             [

@@ -3,12 +3,14 @@
 A diffeomorphism between blocks in {A, Ab, As, Abs} is summarized by a
 5-tuple type: domain, codomain, orientation character (+-1), boundary
 character (+-1), and the induced permutation of the three tangle
-components.  There are 4*4*2*2*6 = 384 candidate types.  Starting from the
-types of explicitly known diffeomorphisms (identities, the order-three
-rotation, the two reflections, the inversion, and the half-turn) and
-closing under inverses and composition yields the 96 realizable types;
-the remaining 288 are excluded by a complementary closure seeded with the
-types ruled out by homomorphism counts.
+components.  There are 4*4*2*2*6 = 384 candidate types.  The types of
+explicitly known diffeomorphisms (identities, the order-three rotation,
+the two reflections, the inversion, and the half-turn) and their
+inverses are 24 generators.  Closing them under composition yields the
+96 realizable types; the remaining 288 are excluded by a complementary
+closure seeded with the types ruled out by homomorphism counts.  Both
+closures are one worklist pass that composes each new type with the 24
+generators only.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ __all__ = [
     "ALL_PERMS",
     "A3",
     "C3",
+    "CELL_NAMES",
     "all_types",
     "type_inverse",
     "type_compose",
@@ -40,6 +43,9 @@ ALL_PERMS = tuple(sorted(permutations((1, 2, 3))))
 #: The even permutations, and the coset of transpositions.
 A3 = frozenset({(1, 2, 3), (2, 3, 1), (3, 1, 2)})
 C3 = frozenset({(2, 1, 3), (1, 3, 2), (3, 2, 1)})
+
+#: How a cell of the realized grid is printed: blank, "A3" or "C".
+CELL_NAMES = {frozenset(): "", A3: "A3", C3: "C"}
 
 ROTATION = (2, 3, 1)       # 1 -> 2 -> 3 -> 1
 HALF_TURN = (1, 3, 2)      # swaps components 2 and 3
@@ -141,53 +147,73 @@ def seed_types():
     return seeds
 
 
+def _closure(start, moves):
+    """The smallest superset of ``start`` closed under ``moves``.
+
+    ``moves(t)`` returns the types one step from ``t``, with None for a
+    composition that is not defined.  Each type is expanded exactly
+    once, when it is first added.
+    """
+    found = set(start)
+    todo = list(found)
+    while todo:
+        for u in moves(todo.pop()):
+            if u is not None and u not in found:
+                found.add(u)
+                todo.append(u)
+    return found
+
+
+def _generators():
+    """The seed types and their inverses: 24 types."""
+    seeds = seed_types()
+    return seeds | {type_inverse(t) for t in seeds}
+
+
 def realized_closure():
-    """Close the seed types under inverse and composition; 96 types."""
-    realized = set(seed_types())
-    changed = True
-    while changed:
-        changed = False
-        new = {type_inverse(t) for t in realized} - realized
-        for alpha in list(realized):
-            for beta in realized:
-                comp = type_compose(beta, alpha)
-                if comp is not None and comp not in realized:
-                    new.add(comp)
-        if new:
-            realized |= new
-            changed = True
-    return realized
+    """The groupoid generated by the seed types; 96 types.
+
+    Every realized type is a composable word g_k o ... o g_1 in the
+    generators (seeds and their inverses), so closing the generators
+    under composition on the left with a generator reaches all of them.
+    """
+    gens = _generators()
+    return _closure(gens, lambda t: [type_compose(g, t) for g in gens])
 
 
 def excluded_closure(realized):
-    """Close the known non-types under the two-out-of-three rule.
+    """Close the known non-types under the two-out-of-three rule; 288 types.
 
-    Seeded with (B1, B2, +1, +1, Id) for distinct blocks B1, B2 (ruled
-    out by homomorphism counts of concatenations).  If two of alpha,
-    beta, beta o alpha are realized, so is the third; hence composing an
-    excluded type with a realized one, on either side, is excluded, and
-    the inverse of an excluded type is excluded.
+    The 12 seeds are (B1, B2, +1, +1, Id) for distinct blocks B1, B2.
+    Suppose such a diffeomorphism existed.  Glued to the identity on a
+    copy of A, it would give a homeomorphism between the complements of
+    the concatenations A B1 and A B2 that preserves each component, so
+    every count of homomorphism classes into Sym(n) would agree for the
+    two.  They do not:
 
-    Raises IntegrityError if the result meets the realized set.
+    - A X into Sym(5), for X = A, Ab, As, Abs: 342, 342, 354 and 330
+      classes, which separates every pair but {A, Ab};
+    - A A against A Ab, which differ only at Sym(6): 3111 against 3255.
+
+    If two of alpha, beta, beta o alpha are realized, so is the third;
+    hence composing an excluded type with a realized one, on either
+    side, is excluded, and the inverse of an excluded type is excluded.
+    Each realized r is a word g_k o ... o g_1 in the generators, so
+    r o t is reached from t by k steps that each compose one generator
+    on the left, and t o r likewise on the right: closing under inverse
+    and under composition with the 24 generators on either side gives
+    the same set as composing with every realized type.
+
+    Raises IntegrityError if the result meets ``realized``.
     """
-    excluded = {
-        DiffeoType(b1, b2, 1, 1, IDENTITY_PERM)
-        for b1 in ALL_LABELS
-        for b2 in ALL_LABELS
-        if b1 != b2
-    }
-    changed = True
-    while changed:
-        changed = False
-        new = {type_inverse(t) for t in excluded} - excluded
-        for t in excluded:
-            for r in realized:
-                for comp in (type_compose(t, r), type_compose(r, t)):
-                    if comp is not None and comp not in excluded:
-                        new.add(comp)
-        if new:
-            excluded |= new
-            changed = True
+    gens = _generators()
+    excluded = _closure(
+        (DiffeoType(b1, b2, 1, 1, IDENTITY_PERM)
+         for b1 in ALL_LABELS for b2 in ALL_LABELS if b1 != b2),
+        lambda t: [type_inverse(t)]
+        + [type_compose(g, t) for g in gens]
+        + [type_compose(t, g) for g in gens],
+    )
     overlap = excluded & set(realized)
     if overlap:
         raise IntegrityError(
@@ -225,7 +251,6 @@ def format_table(realized):
     orientation character).  Cells read A3, C, or blank.
     """
     grid = cell_grid(realized)
-    names = {frozenset(): "", A3: "A3", C3: "C"}
     col_heads = [(d, e) for d in ALL_LABELS for e in (1, -1)]
     width = 5
     lines = []
@@ -239,7 +264,7 @@ def format_table(realized):
         for b in (1, -1):
             row = f"{c.name:>4} {'+1' if b > 0 else '-1':>2}  "
             row += "".join(
-                f"{names[grid[(c, b, d, e)]]:^{width}}" for d, e in col_heads
+                f"{CELL_NAMES[grid[(c, b, d, e)]]:^{width}}" for d, e in col_heads
             )
             lines.append(row.rstrip())
     return "\n".join(lines)

@@ -127,6 +127,34 @@ def test_malformed_json_field_is_a_user_error(capsys, tmp_path, field, value):
     assert err.startswith("error: ")
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # too deep for json.loads
+
+
+@pytest.mark.parametrize("command, text", [
+    (("present",), DEEP),
+    (("homcount", "--sym", "2"), '{"strands": ' + DEEP + ', "signs": {}, '
+     '"inner_order": [], "outer_order": [], "n_strands": 3}'),
+], ids=["document", "strands"])
+def test_deeply_nested_json_is_a_user_error(capsys, tmp_path, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: malformed diagram JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", [("present",), ("homcount", "--sym", "4")],
+                         ids=["present", "homcount"])
+def test_expr_and_file_together_is_a_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "eps3.json"
+    path.write_text(diagrams.to_json(diagrams.builtin("eps3")))
+    code, out, err = run(capsys, *command, "--expr", "A", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def test_present_output(capsys):
     code, out, _ = run(capsys, "present", "--expr", "A")
     assert code == 0

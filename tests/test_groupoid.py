@@ -133,8 +133,8 @@ def test_cells_hold_three_perms_each(realized):
 def test_excluded_closed_under_inverse_and_realized_composition(
         realized, excluded):
     assert {type_inverse(t) for t in excluded} == excluded
-    for t in list(excluded)[:40]:
-        for r in list(realized)[:40]:
+    for t in excluded:
+        for r in realized:
             for comp in (type_compose(t, r), type_compose(r, t)):
                 if comp is not None:
                     assert comp in excluded
