@@ -23,10 +23,12 @@ depends only on *which* generators are assigned, not on their values, so
 :func:`compile_plan` replays this propagation over generator sets and
 records a straight-line program (Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, 2005): the steps that close before any
-assignment, then, for each branching generator in order, one
-:class:`Level` of solve steps and check words.  Replaying the
-propagation keeps the search tree: a node fails exactly when some
-relator closed at it fails, whichever relator solves a generator.
+assignment, then, for each branching generator, one :class:`Level` of
+solve steps and check words.  The same replay chooses the branching
+order: each level branches on the generator whose trial cascade closes
+the most relators.  Replaying the propagation keeps the search tree: a
+node fails exactly when some relator closed at it fails, whichever
+relator solves a generator.
 
 :func:`search_homs` walks the levels with an explicit stack of iterators
 over the group's elements.  Each generator's image and its inverse sit in
@@ -118,12 +120,16 @@ class Plan:
         self.num_gens, self.pre, self.levels = num_gens, pre, levels
 
 
-def compile_plan(num_gens, relators, order):
-    """The search plan for ``relators`` branching in ``order``.
+def compile_plan(num_gens, relators, names):
+    """The search plan for ``relators``; the plan chooses its own order.
 
     relators: sequences of (generator index, +-1) letters.
-    order: generator indices; one already assigned or solved when its
-        turn comes is skipped, so every level branches.
+    names: one name per generator, compared only to break ties.
+
+    After the pre-cascade, each level branches on the unknown generator
+    whose assignment, with the cascade of solves it sets off, closes the
+    most relators, then solves the most generators, then has the most
+    letter occurrences; the least name breaks the remaining ties.
 
     Register ``2g`` holds generator ``g``'s image and ``2g + 1`` its
     inverse; register ``2 * num_gens`` holds the identity.
@@ -134,7 +140,7 @@ def compile_plan(num_gens, relators, order):
         for g, _ in rel:
             occ[g].append(ri)
     known = [False] * num_gens
-    unassigned = [len(rel) for rel in relators]
+    unassigned = [len(rel) for rel in relators]  # unknown letter occurrences
     closed = [False] * len(relators)
 
     def step(word, register):
@@ -173,9 +179,32 @@ def compile_plan(num_gens, relators, order):
                 checks.append(step(regs[:-1], regs[-1] ^ 1))
         return Level(gen, tuple(solves), tuple(checks))
 
+    def rank(g):
+        """Branching key of unknown ``g``: a cascade that changes no state."""
+        new, dropped, stack = {g}, {}, [g]
+        closes = 0
+        while stack:
+            for ri in occ[stack.pop()]:
+                dropped[ri] = dropped.get(ri, 0) + 1
+                left = unassigned[ri] - dropped[ri]
+                if left == 0:
+                    closes += 1
+                elif left == 1:
+                    # None when the open letter's generator is solved but
+                    # not yet popped.
+                    h = next((h for h, _ in relators[ri]
+                              if not known[h] and h not in new), None)
+                    if h is not None:
+                        new.add(h)
+                        stack.append(h)
+        return -closes, -len(new), -len(occ[g]), names[g]
+
     pre = level(None, [ri for ri in range(len(relators)) if unassigned[ri] <= 1])
-    levels = tuple(level(g, []) for g in order if not known[g])
-    return Plan(num_gens, pre, levels)
+    levels = []
+    while not all(known):
+        g = min((g for g in range(num_gens) if not known[g]), key=rank)
+        levels.append(level(g, []))
+    return Plan(num_gens, pre, tuple(levels))
 
 
 def search_homs(plan, group, fixed, budget, collect):

@@ -9,7 +9,6 @@ deterministic text (optionally one JSON object per result line with
 import argparse
 import json
 import sys
-from functools import reduce
 
 from . import diagrams, groupoid, sequences
 from .errors import BudgetExceededError, IntegrityError
@@ -39,7 +38,7 @@ def _diagram_from_args(args):
     blocks = [diagrams.builtin(tok) for tok in args.expr.split()]
     if not blocks:
         raise ValueError("empty block expression")
-    return reduce(diagrams.concat, blocks)
+    return diagrams.concat(*blocks) if len(blocks) > 1 else blocks[0]
 
 
 def _cmd_present(args, out):

@@ -180,27 +180,36 @@ def star(d: AnnularDiagram) -> AnnularDiagram:
     )
 
 
-def concat(d1: AnnularDiagram, d2: AnnularDiagram) -> AnnularDiagram:
-    """Glue the outer boundary of d1 to the inner boundary of d2."""
-    if d1.n_strands != d2.n_strands:
-        raise ValueError(
-            f"cannot concatenate: {d1.n_strands} strands vs {d2.n_strands}"
-        )
-    if d1.outer_order != d2.inner_order:
-        raise ValueError(
-            "cannot concatenate: outer boundary order "
-            f"{list(d1.outer_order)} does not match inner boundary order "
-            f"{list(d2.inner_order)}"
-        )
-    shift = (max(d1.signs) if d1.signs else 0) + 1 - (min(d2.signs) if d2.signs else 0)
-    strands = [
-        [(p.crossing, p.role) for p in s1]
-        + [(p.crossing + shift, p.role) for p in s2]
-        for s1, s2 in zip(d1.strands, d2.strands)
-    ]
-    signs = dict(d1.signs)
-    signs.update({c + shift: s for c, s in d2.signs.items()})
-    return _mk(d1.n_strands, strands, signs, d1.inner_order, d2.outer_order)
+def concat(first: AnnularDiagram, second: AnnularDiagram,
+           *rest: AnnularDiagram) -> AnnularDiagram:
+    """Glue each diagram's outer boundary to the next one's inner boundary.
+
+    One pass over the blocks; the result, crossing ids included, is that
+    of gluing them pairwise from the left.
+    """
+    blocks = (first, second) + rest
+    strands = [[(p.crossing, p.role) for p in s] for s in first.strands]
+    signs = dict(first.signs)
+    top = max(signs, default=0)
+    for d1, d2 in zip(blocks, blocks[1:]):
+        if first.n_strands != d2.n_strands:
+            raise ValueError(
+                f"cannot concatenate: {first.n_strands} strands vs {d2.n_strands}"
+            )
+        if d1.outer_order != d2.inner_order:
+            raise ValueError(
+                "cannot concatenate: outer boundary order "
+                f"{list(d1.outer_order)} does not match inner boundary order "
+                f"{list(d2.inner_order)}"
+            )
+        shift = top + 1 - min(d2.signs, default=0)
+        for strand, s2 in zip(strands, d2.strands):
+            strand.extend((p.crossing + shift, p.role) for p in s2)
+        signs.update({c + shift: s for c, s in d2.signs.items()})
+        if d2.signs:
+            top = max(d2.signs) + shift
+    return _mk(first.n_strands, strands, signs, first.inner_order,
+               blocks[-1].outer_order)
 
 
 def forget(d: AnnularDiagram, k: int) -> AnnularDiagram:
@@ -351,10 +360,14 @@ def to_json(d: AnnularDiagram) -> str:
 
 
 def _typed(value, kind, name):
-    """``value`` if it is a ``kind`` (booleans are not ints), else ValueError."""
+    """``value`` if it is a ``kind`` (booleans are not ints), else ValueError.
+
+    The error names the type it got, not the value, which may be huge.
+    """
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(
-            f"malformed diagram JSON: {name} must be {kind.__name__}, got {value!r}"
+            f"malformed diagram JSON: {name} must be {kind.__name__}, "
+            f"got {type(value).__name__}"
         )
     return value
 

@@ -19,11 +19,11 @@ calls.  The search runs in the pure-Python kernel
 Sym(n) with a Cayley table, built once per count: for Sym(n), and per
 centralizer as a member set over Sym(n)'s table.  Each count compiles
 its presentation once into a search plan (:func:`_compiled`): the
-relators solved or checked at each branching generator.  The
-orbit split's two fixed images are values for the plan's first two
-levels.  Enumeration converts indices to :class:`Permutation` only at
-its edge.  Degrees above ``MAX_DEGREE`` are refused, because the table
-of Sym(n) holds (n!)^2 entries.
+relators solved or checked at each branching generator, in a branching
+order the plan chooses itself.  The orbit split's two fixed images are
+values for the plan's first two levels.  Enumeration converts indices
+to :class:`Permutation` only at its edge.  Degrees above ``MAX_DEGREE``
+are refused, because the table of Sym(n) holds (n!)^2 entries.
 """
 
 from bisect import bisect_left
@@ -97,70 +97,11 @@ class HomClassCount:
 
 
 def _compiled(p: FinitePresentation):
-    """The presentation's search plan, generators in declared order."""
+    """The presentation's search plan, ties in branching order broken by name."""
     gens = list(p.generators)
     index = {g: i for i, g in enumerate(gens)}
     relators = tuple(tuple((index[g], e) for g, e in rel) for rel in p.relators)
-    order = _assignment_order(len(gens), relators, gens)
-    return _kernel.compile_plan(len(gens), relators, order)
-
-
-def _assignment_order(num_gens, relators, names):
-    """Deterministic branching order chosen by simulating propagation.
-
-    The kernel solves a relator once it has a single unassigned letter
-    occurrence and checks it once it has none.  Start from what is solved
-    before any assignment (one-letter relators and their cascade), then
-    greedily pick the next generator whose assignment (plus the resulting
-    cascade of solved generators) yields the most checked relators, then
-    the longest cascade; remaining ties fall to occurrence count and name.
-    Every generator in the order is a branching level of the plan.
-    """
-    occ = [[] for _ in range(num_gens)]
-    for ri, rel in enumerate(relators):
-        for g, _ in rel:
-            occ[g].append(ri)
-    rel_gens = [tuple(g for g, _ in rel) for rel in relators]
-
-    def simulate(start, assigned, counts):
-        assigned = assigned.copy()
-        counts = counts.copy()
-        cascade, checks = 0, 0
-        for g in start:
-            assigned[g] = True
-        stack = list(start)
-        while stack:
-            h = stack.pop()
-            for ri in occ[h]:
-                counts[ri] -= 1
-                if counts[ri] == 0:
-                    checks += 1
-                elif counts[ri] == 1:
-                    # The count may be stale if the open generator was just
-                    # solved elsewhere but not yet processed off the stack.
-                    h2 = next((x for x in rel_gens[ri] if not assigned[x]), None)
-                    if h2 is not None:
-                        assigned[h2] = True
-                        cascade += 1
-                        stack.append(h2)
-        return checks, cascade, assigned, counts
-
-    pre = sorted({rel[0] for rel in rel_gens if len(rel) == 1})
-    _, _, assigned, counts = simulate(
-        pre, [False] * num_gens, [len(rel) for rel in relators])
-    order = []
-    while not all(assigned):
-        best = None
-        for g in range(num_gens):
-            if assigned[g]:
-                continue
-            checks, cascade, a2, c2 = simulate([g], assigned, counts)
-            key = (-checks, -cascade, -len(occ[g]), names[g])
-            if best is None or key < best[0]:
-                best = (key, g, a2, c2)
-        order.append(best[1])
-        assigned, counts = best[2], best[3]
-    return order
+    return _kernel.compile_plan(len(gens), relators, gens)
 
 
 def _check_degree(n):

@@ -164,6 +164,47 @@ def invariant_factors(mat):
     return [b // a for a, b in zip(ds, ds[1:])]
 
 
+def greedy_order_oracle(generators, relators):
+    """The branching order of a search plan, recomputed over plain sets.
+
+    ``relators`` are words of (generator, +-1) letters.  Closing a set of
+    known generators repeats one rule until nothing changes: a relator
+    with exactly one unknown letter occurrence makes that letter's
+    generator known.  Starting from the closure of the empty set, each
+    step closes known | {g} for every unknown g, ranks g by (-relators
+    newly fully known, -generators newly known, -letter occurrences of g,
+    g), and branches on the least.
+    """
+    def close(known):
+        known = set(known)
+        changed = True
+        while changed:
+            changed = False
+            for rel in relators:
+                unknown = [g for g, _ in rel if g not in known]
+                if len(unknown) == 1:
+                    known.add(unknown[0])
+                    changed = True
+        return known
+
+    def fully_known(known):
+        return sum(all(g in known for g, _ in rel) for rel in relators)
+
+    occurrences = {g: sum(h == g for rel in relators for h, _ in rel)
+                   for g in generators}
+    known = close(())
+    order = []
+    while len(known) < len(generators):
+        def rank(g):
+            after = close(known | {g})
+            return (fully_known(known) - fully_known(after),
+                    len(known) - len(after), -occurrences[g], g)
+        g = min((g for g in generators if g not in known), key=rank)
+        order.append(g)
+        known = close(known | {g})
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Presentation comparison up to generator renaming
 

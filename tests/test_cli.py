@@ -111,10 +111,17 @@ def test_homcount_file_input(capsys, tmp_path):
     assert "classes: 47" in out
 
 
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+# The error line is short even when the malformed value is huge.
 @pytest.mark.parametrize("field, value", [
     ("signs", []),
     ("outer_order", [[1], 2]),
     ("n_strands", 10**12),
+    pytest.param("n_strands", "9" * 5_000_000, id="n_strands-huge-string"),
+    pytest.param("strands", [json.loads(_nested(900))], id="strand-nested-900"),
 ])
 def test_malformed_json_field_is_a_user_error(capsys, tmp_path, field, value):
     obj = json.loads(diagrams.to_json(diagrams.builtin("A")))
@@ -124,10 +131,10 @@ def test_malformed_json_field_is_a_user_error(capsys, tmp_path, field, value):
     code, _, err = run(capsys, "homcount", "--file", str(path), "--sym", "2")
     assert code == 1
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and len(err.encode()) < 200
 
 
-DEEP = "[" * 100_000 + "]" * 100_000  # too deep for json.loads
+DEEP = _nested(100_000)  # too deep for json.loads
 
 
 @pytest.mark.parametrize("command, text", [

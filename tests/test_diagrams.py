@@ -1,6 +1,8 @@
 """Diagram model: constructors, validation, and the bar/star/concat algebra."""
 
 import json
+import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,20 @@ def test_concat_disjoint_renumbering():
     assert aa.crossing_count == 12
     assert validate(aa) == []
     assert aa.inner_order == a.inner_order and aa.outer_order == a.outer_order
+
+
+def test_concat_of_many_blocks_equals_pairwise_fold():
+    rng = random.Random(12)
+    names = ("A", "Ab", "As", "Abs", "dirac", "eps3")
+    blocks = [builtin(rng.choice(names)) for _ in range(12)]
+    assert concat(*blocks) == reduce(concat, blocks)
+    twisted = from_braid(3, [(1, "l", 1)])  # outer order (2, 1, 3)
+    blocks[5:5] = [twisted]
+    with pytest.raises(ValueError, match="boundary order") as folded:
+        reduce(concat, blocks)
+    with pytest.raises(ValueError, match="boundary order") as at_once:
+        concat(*blocks)
+    assert str(at_once.value) == str(folded.value)
 
 
 def test_concat_identity():

@@ -21,6 +21,8 @@ from borrays.homcount import (
 from borrays.homcount import _Budget, _compiled, _count_into, _kernel
 from borrays.presentations import FinitePresentation, presentation
 
+import helpers
+
 from itertools import permutations, product
 from math import factorial
 
@@ -178,7 +180,7 @@ def test_kernel_name_reports_a_kernel():
 
 def _search(n, num_gens, relators, candidates=None, budget=DEFAULT_BUDGET,
             collect=True):
-    """One kernel call in generator order; candidates default to Sym(n).
+    """One kernel call, indices as names; candidates default to Sym(n).
 
     Homs come back as tuples of permutations, not of element indices.
     """
@@ -249,17 +251,42 @@ _oracle_relators = st.integers(1, 3).flatmap(lambda k: st.tuples(
 ))
 
 
-# Generators are assigned in index order, so a relator's highest generator
-# is the one solved; the examples put that open letter first, last, in the
-# middle, and with exponent -1.
+# (case, n, solved letters): each solved letter as (relator index,
+# position, exponent), read off the plan.  The open letter sits first,
+# last, in the middle, and with exponent -1.
+_SOLVE_EXAMPLES = [
+    ((3, (((2, 1), (0, 1), (1, -1)),)), 3, [(0, 0, 1)]),
+    ((3, (((0, 1), (1, 1), (2, 1)),)), 3, [(0, 2, 1)]),
+    ((3, (((2, -1), (1, 1), (0, -1)),)), 3, [(0, 0, -1)]),
+    ((3, (((0, -1), (0, -1), (1, 1), (2, -1)),)), 3, [(0, 3, -1)]),
+    ((3, (((0, -1), (2, -1), (1, 1), (0, 1)),)), 3, [(0, 1, -1)]),
+    ((2, (((0, 1), (1, -1), (0, 1), (1, -1)), ((1, -1),))), 2, [(1, 0, -1)]),
+]
+
+
+def _with_solve_examples(test):
+    for case, n, _ in _SOLVE_EXAMPLES:
+        test = example(case, n)(test)
+    return test
+
+
+@pytest.mark.parametrize("case, n, solved", _SOLVE_EXAMPLES)
+def test_brute_force_examples_place_the_solved_letter(case, n, solved):
+    k, relators = case
+    plan = _kernel.compile_plan(k, relators, range(k))
+    gens = [reg // 2 for level in (plan.pre,) + plan.levels
+            for _, _, reg in level.solves]
+    # In these cases a solved generator occurs once in exactly one relator.
+    assert [(ri, pos, e)
+            for g in gens
+            for ri, rel in enumerate(relators)
+            if [h for h, _ in rel].count(g) == 1
+            for pos, (h, e) in enumerate(rel) if h == g] == solved
+
+
 @settings(max_examples=300, deadline=None)
 @given(_oracle_relators, st.integers(2, 3))
-@example((3, (((2, 1), (0, 1), (1, -1)),)), 3)
-@example((3, (((0, 1), (1, 1), (2, 1)),)), 3)
-@example((3, (((2, -1), (1, 1), (0, -1)),)), 3)
-@example((3, (((0, -1), (0, -1), (1, 1), (2, -1)),)), 3)
-@example((3, (((0, -1), (2, -1), (1, 1), (0, 1)),)), 3)
-@example((2, (((0, 1), (1, -1), (0, 1), (1, -1)), ((1, -1),))), 2)
+@_with_solve_examples
 def test_kernel_matches_brute_force(case, n):
     k, relators = case
     identity = tuple(range(n))
@@ -269,7 +296,10 @@ def test_kernel_matches_brute_force(case, n):
                    for rel in relators)]
     count, homs, _ = _search(n, k, relators)
     assert count == len(want)
-    # in generator order, the homs come out lexicographically sorted
+    # The homs come out sorted by the branching generators' images, taken
+    # in level order; the solved generators' images follow from them.
+    plan = _kernel.compile_plan(k, relators, range(k))
+    want.sort(key=lambda images: [images[level.gen] for level in plan.levels])
     assert homs == want
 
 
@@ -316,6 +346,38 @@ def test_one_letter_relator_is_not_a_level():
     r = count_classes_burnside(p, 3)
     assert (r.total_homs, r.class_count, r.nodes) == (36, 11, 0)
     assert count_classes_enumerate(p, 3).class_count == 11
+
+
+@st.composite
+def _named_presentations(draw):
+    """Up to 5 generators, named out of index order; relators of <= 6 letters."""
+    names = tuple(draw(st.permutations("abcde"))[:draw(st.integers(1, 5))])
+    letter = st.tuples(st.sampled_from(names), st.sampled_from([1, -1]))
+    relators = draw(st.lists(st.lists(letter, max_size=6).map(tuple),
+                             max_size=5))
+    return FinitePresentation(names, tuple(relators))
+
+
+def _level_order(p):
+    return [p.generators[level.gen] for level in _compiled(p).levels]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_named_presentations())
+# c's cascade solves b and d, a's none; both close two relators, and a has
+# more occurrences.
+@example(FinitePresentation(("a", "b", "c", "d"), (
+    (("a", 1), ("a", 1)), (("a", 1),) * 3, (("b", 1), ("c", 1)),
+    (("c", 1), ("d", -1)))))
+def test_plan_order_matches_greedy_oracle(p):
+    assert _level_order(p) == helpers.greedy_order_oracle(p.generators, p.relators)
+
+
+def test_plan_order_of_a_prefix_is_pinned():
+    p = presentation(concat(*map(builtin, ("A", "Ab", "As", "Abs"))))
+    want = ["x2", "y2", "z2", "x5", "x6", "x9"]
+    assert _level_order(p) == want
+    assert helpers.greedy_order_oracle(p.generators, p.relators) == want
 
 
 def test_deep_plans_need_no_recursion():
