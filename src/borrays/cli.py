@@ -4,9 +4,17 @@ Subcommands: present, homcount, groupoid, classify, achiral.  Output is
 deterministic text (optionally one JSON object per result line with
 --json); exit codes are 0 success, 1 user error, 2 budget exhausted,
 3 internal integrity error.
+
+The argument parser is built once per process and reused by every
+``main`` call, so each subcommand's handler is bound when the parser is
+first built.  The handlers look up the library functions they call
+(``groupoid.realized_closure``, ``count_classes_burnside``, ...) at call
+time: to replace behaviour in a test or a tracer, patch those module
+functions, not the ``_cmd_*`` handlers.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -196,6 +204,7 @@ def _cmd_achiral(args, out):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="borrays",

@@ -94,16 +94,28 @@ def _mk(n_strands, strands, signs, inner_order, outer_order) -> AnnularDiagram:
     )
 
 
+def _brief(value):
+    """``repr(value)`` if short, else its type and size: a bad value read
+    from a file may be huge, and its message stays one short line."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    if hasattr(value, "__len__"):
+        return f"<{type(value).__name__} of length {len(value)}>"
+    return f"<{type(value).__name__} of {len(text)} characters>"
+
+
 def validate(d: AnnularDiagram):
     """Return a list of Violation records; empty iff the diagram is valid."""
     out = []
+    n = _brief(d.n_strands)
     if d.n_strands < 1:
-        out.append(Violation("bad-strand-count", f"n_strands={d.n_strands} < 1"))
+        out.append(Violation("bad-strand-count", f"n_strands={n} < 1"))
     if len(d.strands) != d.n_strands:
         out.append(
             Violation(
                 "bad-strand-count",
-                f"{len(d.strands)} passage lists for n_strands={d.n_strands}",
+                f"{len(d.strands)} passage lists for n_strands={n}",
             )
         )
     for order, side in ((d.inner_order, "inner"), (d.outer_order, "outer")):
@@ -115,41 +127,44 @@ def validate(d: AnnularDiagram):
                 if len(set(order)) != len(order)
                 else "bad-boundary"
             )
-            out.append(
-                Violation(kind, f"{side}_order {list(order)} is not a permutation")
-            )
+            out.append(Violation(
+                kind, f"{side}_order {_brief(list(order))} is not a permutation"))
     seen = {}  # crossing id -> list of roles
     for si, strand in enumerate(d.strands, start=1):
         for p in strand:
             if p.role not in (OVER, UNDER):
                 out.append(
-                    Violation("bad-role", f"strand {si}: role {p.role!r}")
+                    Violation("bad-role", f"strand {si}: role {_brief(p.role)}")
                 )
             if p.crossing not in d.signs:
                 out.append(
                     Violation(
                         "unknown-crossing",
-                        f"strand {si} references crossing {p.crossing} with no sign",
+                        f"strand {si} references crossing {_brief(p.crossing)} "
+                        "with no sign",
                     )
                 )
             seen.setdefault(p.crossing, []).append(p.role)
     for c, sign in d.signs.items():
         if sign not in (1, -1):
-            out.append(Violation("bad-sign", f"crossing {c} has sign {sign}"))
+            out.append(Violation(
+                "bad-sign", f"crossing {_brief(c)} has sign {_brief(sign)}"))
         roles = sorted(seen.get(c, []))
         if roles != [OVER, UNDER]:
             kind = "dangling-crossing" if len(roles) != 2 else "role-mismatch"
-            out.append(
-                Violation(kind, f"crossing {c} has passage roles {roles}")
-            )
+            out.append(Violation(
+                kind, f"crossing {_brief(c)} has passage roles {_brief(roles)}"))
     return out
 
 
 def _require_valid(d: AnnularDiagram):
+    """ValueError naming the first violation and how many more there are."""
     violations = validate(d)
     if violations:
+        more = len(violations) - 1
         raise ValueError(
-            "invalid diagram: " + "; ".join(v.message for v in violations)
+            f"invalid diagram: {violations[0].message}"
+            + (f"; and {more} more" if more else "")
         )
 
 

@@ -123,6 +123,14 @@ def _minimal_period(word):
     return word[:p] if m % p == 0 else word
 
 
+_CHAR = {lab: str(i) for i, lab in enumerate(ALL_LABELS)}
+
+
+def _letters(word) -> str:
+    """The word as a string, one character per label."""
+    return "".join(map(_CHAR.__getitem__, word))
+
+
 def _tail_word(s: EventuallyPeriodicSeq):
     """(minimal period word w, L) with value_at(s, i) = w[(i-L-1) mod |w|]
     for all i > L, where L = len(preperiod)."""
@@ -134,30 +142,25 @@ def tails_equal(s: EventuallyPeriodicSeq, t: EventuallyPeriodicSeq) -> TailMatch
 
     True iff there are n and N >= 1 with value_at(s, i) = value_at(t, i + n)
     for all i >= N; equivalently, iff the minimal period words agree up to
-    cyclic rotation.  The witness reports the smallest |n| (ties toward
-    nonnegative n) and a valid N.
+    cyclic rotation.  Minimal period words are primitive (not a proper
+    power), so at most one rotation offset matches, and one substring
+    search of w_s in w_t w_t finds it in time linear in the period.  The
+    witness reports the smallest |n| (ties toward nonnegative n) and a
+    valid N.
     """
     w_s, ls = _tail_word(s)
     w_t, lt = _tail_word(t)
     p = len(w_s)
     if p != len(w_t):
         return TailMatch(False)
-    # Rotation offsets m with w_s[k] == w_t[(k+m) mod p] for all k.
-    residues = {
-        (m - ls + lt) % p
-        for m in range(p)
-        if all(w_s[k] == w_t[(k + m) % p] for k in range(p))
-    }
-    if not residues:
+    # The offset m with w_s[k] == w_t[(k + m) mod p] for all k.
+    m = _letters(w_t + w_t).find(_letters(w_s))
+    if m < 0:
         return TailMatch(False)
-    n = 0
-    while True:
-        if n % p in residues:
-            break
-        if n > 0:
-            n = -n
-        else:
-            n = -n + 1
+    # Every shift congruent to r mod p works; take r or r - p, the nearer
+    # to 0, and r on a tie.
+    r = (m - ls + lt) % p
+    n = r if 2 * r <= p else r - p
     start = max(1, ls + 1, lt + 1 - n)
     return TailMatch(True, n, start)
 

@@ -124,6 +124,39 @@ def tails_equal_oracle(s, t):
     return False
 
 
+def _primitive_root(word):
+    """Shortest w with word = w^k, trying every length that divides |word|."""
+    p = len(word)
+    return next(word[:d] for d in range(1, p + 1)
+                if p % d == 0 and word[:d] * (p // d) == word)
+
+
+def tails_witness_oracle(s, t):
+    """``(holds, shift, start)`` of a tail comparison, by quadratic search.
+
+    Every rotation offset of the primitive period roots is tried letter
+    by letter; the shift is the first n in 0, 1, -1, 2, -2, ... whose
+    residue some matching offset gives, and start the least index from
+    which both tails are periodic and aligned.
+    """
+    w_s, ls = _primitive_root(s.period), len(s.preperiod)
+    w_t, lt = _primitive_root(t.period), len(t.preperiod)
+    p = len(w_s)
+    if p != len(w_t):
+        return False, None, None
+    residues = {
+        (m - ls + lt) % p
+        for m in range(p)
+        if all(w_s[k] == w_t[(k + m) % p] for k in range(p))
+    }
+    if not residues:
+        return False, None, None
+    n = 0
+    while n % p not in residues:
+        n = -n if n > 0 else -n + 1
+    return True, n, max(1, ls + 1, lt + 1 - n)
+
+
 def _determinant(mat):
     """Exact integer determinant by fraction-free (Bareiss) elimination."""
     m = [list(row) for row in mat]

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,35 @@ def test_malformed_json_field_is_a_user_error(capsys, tmp_path, field, value):
     assert code == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and len(err.encode()) < 200
+
+
+def _extra_signs(obj):
+    first = max(int(c) for c in obj["signs"]) + 1
+    obj["signs"].update({str(c): 1 for c in range(first, first + 200_000)})
+
+
+def _huge_role(obj):
+    obj["strands"][0][0]["role"] = "x" * 5_000_000
+
+
+def _huge_inner_order(obj):
+    obj["inner_order"] = list(range(2, 1_000_002))
+
+
+# Values that are well typed but invalid: validation names the first
+# violation briefly and counts the rest.
+@pytest.mark.parametrize("mutate", [_huge_role, _huge_inner_order, _extra_signs],
+                         ids=["role", "inner_order", "signs"])
+def test_invalid_diagram_error_is_one_short_line(capsys, tmp_path, mutate):
+    obj = json.loads(diagrams.to_json(diagrams.builtin("A")))
+    mutate(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "present", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: invalid diagram: ") and len(err.encode()) < 200
 
 
 DEEP = _nested(100_000)  # too deep for json.loads
@@ -276,6 +306,43 @@ def test_achiral_bad_sequence(capsys):
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "homcount", "--expr", "A")[0] == 1  # missing --sym
     assert run(capsys, "nonsense")[0] == 1
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run(capsys, "--json", "classify", "--s1", "per: A",
+                       "--s2", "per: As")
+    assert code == 0 and json.loads(out)["or_equivalent"]
+    # --json does not stick from the previous call
+    code, out, _ = run(capsys, "classify", "--s1", "per: A", "--s2", "per: As")
+    assert code == 0 and out.startswith("sequence 1: per: A\n")
+    # a usage error leaves the parser usable
+    assert run(capsys, "classify", "--s1", "per: A")[0] == 1
+    assert run(capsys, "achiral", "--s", "per: A As")[0] == 0
+    # so does an exhausted budget, and the default budget comes back
+    argv = ("homcount", "--expr", "A", "--sym", "3")
+    code, out, err = run(capsys, "--budget", "0", *argv)
+    assert (code, out) == (2, "") and "budget of 0" in err
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and "classes: " in out
+
+
+def test_tail_comparison_is_linear_in_the_period(capsys):
+    # A period of 12,000 letters: comparing every rotation letter by
+    # letter would take seconds here.
+    m = 6000
+    word = ["A"] * m + ["Ab"] * m
+    per = "per: " + " ".join(word)
+    rotated = "per: " + " ".join(word[1234:] + word[:1234])
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", "--s1", per, "--s2", rotated)
+    assert code == 0
+    assert "cond1 identical tails:            yes (shift n=-1234, from index N=1235)" in out
+    assert "equivalent: true" in out
+    code, out, _ = run(capsys, "achiral", "--s", per)
+    assert code == 0
+    assert f"matches own bar transform: yes (shift n={m}, from index N=1)" in out
+    assert time.perf_counter() - start < 2
 
 
 # ---------------------------------------------------------------------------

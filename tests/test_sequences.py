@@ -1,7 +1,7 @@
 """Equivalence and chirality of eventually periodic block sequences."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -102,6 +102,60 @@ def test_tails_equal_matches_oracle(s, t):
             value_at(s, i) == value_at(t, i + m.shift)
             for i in range(m.start, m.start + window)
         )
+
+
+@st.composite
+def _sequence_pairs(draw):
+    """Two sequences; half the time t's tail is a power of a rotation of
+    s's period, under bar, star, barstar or no transform."""
+    s = draw(helpers.sequences())
+    if draw(st.booleans()):
+        return s, draw(helpers.sequences())
+    per = s.period * draw(st.integers(1, 3))
+    r = draw(st.integers(0, len(per) - 1))
+    t = EventuallyPeriodicSeq(draw(st.lists(helpers.labels, max_size=6).map(tuple)),
+                              per[r:] + per[:r])
+    op = draw(st.sampled_from(["id", "bar", "star", "barstar"]))
+    return s, t if op == "id" else transform(t, op)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sequence_pairs())
+@example((seq(per=[A, AS]), seq(per=[AS, A])))  # tie: 2r = p
+@example((seq(pre=[AB], per=[A, A, AS, AS]), seq(pre=[A], per=[AS, AS, A, A])))  # tie
+def test_tails_equal_witness_matches_oracle(pair):
+    s, t = pair
+    m = tails_equal(s, t)
+    assert (m.holds, m.shift, m.start) == helpers.tails_witness_oracle(s, t)
+
+
+def _alternating(m):
+    return (A,) * m + (AB,) * m
+
+
+# With s = pre_s . w^inf and t = pre_t . rot_j(w)^inf, w = A^m Ab^m, every
+# shift n = pre_t - pre_s - j (mod 2m) works; the witness takes the one
+# nearest 0 (the nonnegative one on a tie) and N = max(1, pre_s + 1,
+# pre_t + 1 - n).
+@pytest.mark.parametrize("m, pre_s, pre_t, j, expected", [
+    (40, 0, 0, 10, (True, -10, 11)),
+    (40, 0, 0, 40, (True, 40, 1)),  # tie: 2r = p
+    (320, 3, 0, 1, (True, -4, 5)),
+    (320, 0, 5, 319, (True, -314, 320)),
+    (1000, 0, 2, 1999, (True, 3, 1)),
+    (1000, 1, 1, 1000, (True, 1000, 2)),  # tie: 2r = p
+])
+def test_alternating_family_witness_pins(m, pre_s, pre_t, j, expected):
+    w = _alternating(m)
+    s = seq(pre=[AB] * pre_s, per=w)
+    t = seq(pre=[AS] * pre_t, per=w[j:] + w[:j])
+    match = tails_equal(s, t)
+    assert (match.holds, match.shift, match.start) == expected
+    # t's star transform matches s only after star, with the same witness
+    rep = equivalence(s, transform(t, "star"))
+    assert not rep.cond1.holds and not rep.cond3.holds
+    assert rep.cond4 == match
+    assert not tails_equal(s, seq(per=_alternating(m + 1))).holds
 
 
 # ---------------------------------------------------------------------------
