@@ -37,6 +37,7 @@ the table.  Every solved value is checked for membership in the group.
 """
 
 from array import array
+from heapq import heappop, heappush
 from itertools import permutations
 
 from .errors import BudgetExceededError
@@ -131,6 +132,15 @@ def compile_plan(num_gens, relators, names):
     most relators, then solves the most generators, then has the most
     letter occurrences; the least name breaks the remaining ties.
 
+    The ranks are cached.  A generator's rank key depends only on the
+    relators its trial cascade read: their unknown-letter counts and which
+    of their generators are known.  A generator that becomes known lowers
+    the count of every relator holding it, so after a level only the
+    generators that read a relator whose count changed are ranked again.
+    The least key is taken from a heap that skips entries of known
+    generators and keys since replaced, so each level branches on the
+    generator a full re-ranking would choose, and the plan is the same.
+
     Register ``2g`` holds generator ``g``'s image and ``2g + 1`` its
     inverse; register ``2 * num_gens`` holds the identity.
     """
@@ -142,6 +152,7 @@ def compile_plan(num_gens, relators, names):
     known = [False] * num_gens
     unassigned = [len(rel) for rel in relators]  # unknown letter occurrences
     closed = [False] * len(relators)
+    touched = []  # relators whose count changed in the current level
 
     def step(word, register):
         if not word:
@@ -150,6 +161,7 @@ def compile_plan(num_gens, relators, names):
 
     def assign(g, queue):
         known[g] = True
+        touched.extend(occ[g])
         for ri in occ[g]:
             unassigned[ri] -= 1
             if not closed[ri] and unassigned[ri] <= 1:
@@ -180,7 +192,10 @@ def compile_plan(num_gens, relators, names):
         return Level(gen, tuple(solves), tuple(checks))
 
     def rank(g):
-        """Branching key of unknown ``g``: a cascade that changes no state."""
+        """Branching key of unknown ``g`` and the relators it read.
+
+        A cascade that changes no state.
+        """
         new, dropped, stack = {g}, {}, [g]
         closes = 0
         while stack:
@@ -197,13 +212,34 @@ def compile_plan(num_gens, relators, names):
                     if h is not None:
                         new.add(h)
                         stack.append(h)
-        return -closes, -len(new), -len(occ[g]), names[g]
+        return (-closes, -len(new), -len(occ[g]), names[g]), dropped
+
+    key = [None] * num_gens  # cached rank key of each unknown generator
+    reads = [()] * num_gens  # the relators that key read
+    readers = [set() for _ in relators]  # generators whose key read each
+    heap = []
+
+    def rerank(g):
+        for ri in reads[g]:
+            readers[ri].discard(g)
+        key[g], reads[g] = rank(g)
+        for ri in reads[g]:
+            readers[ri].add(g)
+        heappush(heap, (key[g], g))
 
     pre = level(None, [ri for ri in range(len(relators)) if unassigned[ri] <= 1])
+    for g in range(num_gens):
+        if not known[g]:
+            rerank(g)
     levels = []
-    while not all(known):
-        g = min((g for g in range(num_gens) if not known[g]), key=rank)
+    while heap:
+        k, g = heappop(heap)
+        if known[g] or k != key[g]:
+            continue
+        touched.clear()
         levels.append(level(g, []))
+        for h in {h for ri in touched for h in readers[ri] if not known[h]}:
+            rerank(h)
     return Plan(num_gens, pre, tuple(levels))
 
 

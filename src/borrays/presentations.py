@@ -12,9 +12,11 @@ in the length of a block word.
 """
 
 import string
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd
+from operator import itemgetter
 
 from .diagrams import UNDER, AnnularDiagram, _require_valid
 
@@ -26,6 +28,7 @@ __all__ = [
     "invert_word",
     "presentation",
     "tietze_simplify",
+    "MAX_TIETZE_LETTERS",
     "abelianization",
     "strand_letter",
     "format_presentation",
@@ -161,53 +164,144 @@ def presentation(d: AnnularDiagram, include_outer_vertex: bool = False) -> Finit
     return FinitePresentation(tuple(gens), tuple(relators))
 
 
+# Tietze elimination can grow a presentation exponentially: (A Ab As Abs)^2
+# simplifies to about 170k letters, and three copies pass this cap.  Past
+# this many letters held at once, simplification is an input error rather
+# than a MemoryError.
+MAX_TIETZE_LETTERS = 5_000_000
+
+
+def _check_letters(total):
+    if total > MAX_TIETZE_LETTERS:
+        raise ValueError(
+            f"Tietze simplification would hold more than {MAX_TIETZE_LETTERS} "
+            "relator letters"
+        )
+
+
+def _letter_positions(word, g):
+    """Ascending positions of generator g's letters in word."""
+    found = []
+    for letter in ((g, 1), (g, -1)):
+        i = -1
+        try:
+            while True:
+                i = word.index(letter, i + 1)
+                found.append(i)
+        except ValueError:
+            pass
+    found.sort()
+    return found
+
+
+def _splice(out, word):
+    """Append freely reduced ``word`` to freely reduced ``out`` in place.
+
+    Only the junction can cancel, so ``out`` stays freely reduced.
+    """
+    j, n = 0, len(word)
+    while j < n and out and out[-1][0] == word[j][0] and out[-1][1] == -word[j][1]:
+        out.pop()
+        j += 1
+    out.extend(word[j:])
+
+
 def tietze_simplify(p: FinitePresentation) -> FinitePresentation:
     """Eliminate generators occurring exactly once in some relator.
 
     Each elimination solves that relator for the generator and substitutes
     the solution everywhere, so the presented group is unchanged.  Shortest
-    relators are consumed first, ties broken by generator name, which makes
-    the output deterministic.
-    """
-    gens = list(p.generators)
-    relators = [cyclic_reduce(r) for r in p.relators if cyclic_reduce(r)]
+    relators are consumed first, ties broken by generator name and then by
+    the earliest relator, which makes the output deterministic.
 
-    while True:
-        candidate = None  # (len, gen, relator index, position)
-        for ri, rel in enumerate(relators):
-            counts = {}
-            for g, _ in rel:
-                counts[g] = counts.get(g, 0) + 1
-            for pos, (g, _) in enumerate(rel):
-                if counts[g] == 1:
-                    key = (len(rel), g)
-                    if candidate is None or key < candidate[0]:
-                        candidate = (key, ri, pos)
-        if candidate is None:
-            break
-        _, ri, pos = candidate
-        rel = relators[ri]
-        g, e = rel[pos]
-        before, after = rel[:pos], rel[pos + 1 :]
-        # before * g^e * after = 1  =>  g^e = before^-1 * after^-1
-        sol = free_reduce(invert_word(before) + invert_word(after))
-        if e == -1:
-            sol = invert_word(sol)
-        gens.remove(g)
-        del relators[ri]
-        new_relators = []
-        for rel2 in relators:
-            out = []
-            for g2, e2 in rel2:
-                if g2 == g:
-                    out.extend(sol if e2 == 1 else invert_word(sol))
-                else:
-                    out.append((g2, e2))
-            reduced = cyclic_reduce(out)
-            if reduced:
-                new_relators.append(reduced)
-        relators = new_relators
-    return FinitePresentation(tuple(gens), tuple(relators))
+    An elimination touches only the relators that hold its generator.  An
+    occurrence index maps each generator to the relators holding it, and
+    each relator keeps its letter counts.  The candidates ``(length,
+    generator, relator)`` sit in a heap; a rewritten relator gets a new
+    version and pushes its own candidates, and a popped candidate of an
+    older version is skipped, so the heap yields the same least candidate
+    that a rescan of every relator would.  A rewrite splices the solution
+    and the runs between its generator's occurrences in as whole words and
+    cancels only at the junctions: each piece is freely reduced, and a
+    word's free reduction is unique, so the result is the relator's
+    ``cyclic_reduce`` after substitution.
+
+    Raises ValueError once the relators being held would exceed
+    MAX_TIETZE_LETTERS letters.
+    """
+    words = {}  # relator id -> word; ids keep the relators' input order
+    for r in p.relators:
+        r = cyclic_reduce(r)
+        if r:
+            words[len(words)] = r
+    total = sum(map(len, words.values()))
+    _check_letters(total)
+    counts, version, occ, heap = {}, {}, {}, []
+
+    def index(rid, word):
+        """Record a new or rewritten relator and push its candidates."""
+        counts[rid] = c = Counter(map(itemgetter(0), word))
+        version[rid] = v = version.get(rid, -1) + 1
+        for g, k in c.items():
+            occ.setdefault(g, set()).add(rid)
+            if k == 1:
+                heappush(heap, (len(word), g, rid, v))
+
+    def unindex(rid):
+        for g in counts.pop(rid):
+            occ[g].discard(rid)
+
+    for rid, word in words.items():
+        index(rid, word)
+    eliminated = set()
+    while heap:
+        _, g, ri, v = heappop(heap)
+        if version.get(ri) != v:
+            continue
+        rel = words.pop(ri)
+        unindex(ri)
+        del version[ri]
+        total -= len(rel)
+        pos = _letter_positions(rel, g)[0]
+        e = rel[pos][1]
+        # before * g^e * after = 1, so g^e = (after * before)^-1.  The
+        # rotation is freely reduced because rel is cyclically reduced.
+        rotation = rel[pos + 1:] + rel[:pos]
+        sol = rotation if e == -1 else invert_word(rotation)
+        sol_inv = invert_word(sol)
+        eliminated.add(g)
+        for rid in sorted(occ[g]):
+            old = words[rid]
+            unindex(rid)
+            base = total - len(old)
+            out, start = [], 0
+            for i in _letter_positions(old, g):
+                _splice(out, old[start:i])
+                _splice(out, sol if old[i][1] == 1 else sol_inv)
+                _check_letters(base + len(out))
+                start = i + 1
+            _splice(out, old[start:])
+            _check_letters(base + len(out))
+            lo, hi = 0, len(out) - 1
+            while lo < hi and out[lo][0] == out[hi][0] and out[lo][1] == -out[hi][1]:
+                lo += 1
+                hi -= 1
+            word = tuple(out[lo:hi + 1])
+            total = base + len(word)
+            if word:
+                words[rid] = word
+                index(rid, word)
+            else:
+                del words[rid], version[rid]
+        del occ[g]
+    # Drop each eliminated name's first occurrence, as list.remove would.
+    gens = []
+    for g in p.generators:
+        if g in eliminated:
+            eliminated.discard(g)
+        else:
+            gens.append(g)
+    return FinitePresentation(tuple(gens), tuple(words.values()))
 
 
 def _nearest_quotient(a, p):
@@ -329,9 +423,10 @@ def format_presentation(p: FinitePresentation) -> str:
 
     A capitalized generator token denotes its inverse.
     """
+    token = {}
+    for g in p.generators:
+        token[g, 1] = g
+        token[g, -1] = g[:1].upper() + g[1:]
     lines = ["gens: " + ",".join(p.generators)]
-    for rel in p.relators:
-        lines.append(
-            " ".join(g if e == 1 else g[0].upper() + g[1:] for g, e in rel)
-        )
+    lines.extend(" ".join(map(token.__getitem__, rel)) for rel in p.relators)
     return "\n".join(lines)

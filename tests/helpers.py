@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from borrays import diagrams
 from borrays.labels import ALL_LABELS
-from borrays.presentations import cyclic_reduce, invert_word
+from borrays.presentations import (
+    FinitePresentation,
+    cyclic_reduce,
+    free_reduce,
+    invert_word,
+)
 from borrays.sequences import EventuallyPeriodicSeq, value_at
 
 # ---------------------------------------------------------------------------
@@ -82,6 +87,20 @@ def block_diagrams(draw):
     if kind == 2:
         d = diagrams.concat(d, diagrams.builtin(draw(names)))
     return d
+
+
+@st.composite
+def presentations(draw, max_gens=6, max_relators=6, max_letters=10):
+    """Presentations on 1..max_gens arc-style generators.
+
+    Relator words are random and need not be freely reduced.
+    """
+    names = draw(st.permutations(("x1", "y1", "z1", "x2", "y2", "z2")))
+    names = tuple(names[:draw(st.integers(1, max_gens))])
+    letter = st.tuples(st.sampled_from(names), st.sampled_from([1, -1]))
+    relators = draw(st.lists(st.lists(letter, max_size=max_letters).map(tuple),
+                             max_size=max_relators))
+    return FinitePresentation(names, tuple(relators))
 
 
 @st.composite
@@ -236,6 +255,55 @@ def greedy_order_oracle(generators, relators):
         order.append(g)
         known = close(known | {g})
     return order
+
+
+def tietze_rescan_oracle(p):
+    """Tietze elimination that rescans every relator at each step.
+
+    The least candidate (relator length, generator name) over all relators
+    and positions of a singly occurring generator is eliminated, ties going
+    to the earliest relator; the solution is substituted letter by letter
+    into every relator, which is then cyclically reduced.
+    """
+    gens = list(p.generators)
+    relators = [cyclic_reduce(r) for r in p.relators if cyclic_reduce(r)]
+
+    while True:
+        candidate = None  # (len, gen, relator index, position)
+        for ri, rel in enumerate(relators):
+            counts = {}
+            for g, _ in rel:
+                counts[g] = counts.get(g, 0) + 1
+            for pos, (g, _) in enumerate(rel):
+                if counts[g] == 1:
+                    key = (len(rel), g)
+                    if candidate is None or key < candidate[0]:
+                        candidate = (key, ri, pos)
+        if candidate is None:
+            break
+        _, ri, pos = candidate
+        rel = relators[ri]
+        g, e = rel[pos]
+        before, after = rel[:pos], rel[pos + 1 :]
+        # before * g^e * after = 1  =>  g^e = before^-1 * after^-1
+        sol = free_reduce(invert_word(before) + invert_word(after))
+        if e == -1:
+            sol = invert_word(sol)
+        gens.remove(g)
+        del relators[ri]
+        new_relators = []
+        for rel2 in relators:
+            out = []
+            for g2, e2 in rel2:
+                if g2 == g:
+                    out.extend(sol if e2 == 1 else invert_word(sol))
+                else:
+                    out.append((g2, e2))
+            reduced = cyclic_reduce(out)
+            if reduced:
+                new_relators.append(reduced)
+        relators = new_relators
+    return FinitePresentation(tuple(gens), tuple(relators))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from borrays.homcount import (
     count_classes_burnside,
     count_classes_enumerate,
 )
-from borrays.presentations import presentation
+from borrays.presentations import MAX_TIETZE_LETTERS, presentation
 
 
 def run(capsys, *argv):
@@ -233,6 +233,33 @@ def test_present_huge_eps_is_a_user_error(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "at most 1000 strands" in err
+
+
+def test_present_simplify_blow_up_is_a_user_error(capsys):
+    # Three copies of A Ab As Abs would simplify past the letter cap.
+    word = " ".join(["A", "Ab", "As", "Abs"] * 3)
+    code, out, err = run(capsys, "present", "--simplify", "--expr", word)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: Tietze simplification would hold more than "
+                   f"{MAX_TIETZE_LETTERS} relator letters\n")
+
+
+def test_a_1000_block_word_answers_or_exhausts_the_budget_quickly(capsys):
+    rng = random.Random(5)
+    word = " ".join(rng.choice(("A", "Ab", "As", "Abs")) for _ in range(1000))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "homcount", "--expr", word, "--sym", "1")
+    assert code == 0
+    assert out.endswith("  Sym(1)  classes: 1  total: 1  method: burnside\n")
+    assert time.perf_counter() - start < 3
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--budget", "0", "homcount", "--expr", word,
+                         "--sym", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: search exceeded the node budget of 0\n"
+    assert time.perf_counter() - start < 3
 
 
 def test_present_requires_input(capsys):

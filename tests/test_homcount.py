@@ -1,5 +1,7 @@
 """Homomorphism counting into symmetric groups: totals, classes, kernels."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -378,6 +380,15 @@ def test_plan_order_of_a_prefix_is_pinned():
     want = ["x2", "y2", "z2", "x5", "x6", "x9"]
     assert _level_order(p) == want
     assert helpers.greedy_order_oracle(p.generators, p.relators) == want
+
+
+def test_plan_of_a_1000_block_word_is_pinned():
+    rng = random.Random(5)
+    word = [rng.choice(("A", "Ab", "As", "Abs")) for _ in range(1000)]
+    order = _level_order(presentation(concat(*map(builtin, word))))
+    assert len(order) == 1002
+    assert order[:10] == ["x100", "y100", "z100", "x102", "x104", "x106",
+                          "x108", "x110", "x98", "x96"]
 
 
 def test_deep_plans_need_no_recursion():

@@ -1,7 +1,9 @@
 """Wirtinger-style presentations, Tietze simplification, abelianization."""
 
+import importlib.util
 import random
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +112,48 @@ def test_tietze_preserves_abelianization_on_a():
     assert abelianization(p) == abelianization(q)
 
 
+@settings(max_examples=300, deadline=None)
+@given(helpers.presentations())
+# A repeated generator name loses its first occurrence only.
+@example(FinitePresentation(("x1", "x1", "y1"), ((("x1", 1), ("y1", 1)),)))
+# Equal candidate keys in two relators: the earlier relator is consumed.
+@example(FinitePresentation(("x1", "y1", "z1"), (
+    (("y1", 1), ("x1", 1), ("y1", 1)), (("z1", 1), ("x1", -1), ("z1", 1)))))
+def test_tietze_matches_rescan_oracle(p):
+    assert tietze_simplify(p) == helpers.tietze_rescan_oracle(p)
+
+
+def _benchmark_simplify_words():
+    """The words ``present --simplify`` runs in the block-words benchmark.
+
+    Read from the benchmark's own generator, seeds 1-10.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    words = set()
+    for seed in range(1, 11):
+        for case in workloads.build("block-words", seed):
+            if "--simplify" in case.argv:
+                words.add(case.argv[case.argv.index("--expr") + 1])
+    return sorted(words)
+
+
+def test_tietze_matches_rescan_oracle_on_benchmark_words():
+    words = _benchmark_simplify_words()
+    assert "A Ab As Abs A Ab As Abs" in words and len(words) > 10
+    for word in words:
+        p = presentation(concat(*map(builtin, word.split())))
+        assert tietze_simplify(p) == helpers.tietze_rescan_oracle(p), word
+
+
+def test_tietze_output_of_two_prefix_copies_is_pinned():
+    q = tietze_simplify(presentation(concat(*map(builtin, ["A", "Ab", "As", "Abs"] * 2))))
+    assert (len(q.generators), len(q.relators)) == (11, 9)
+    assert sum(map(len, q.relators)) == 170_293
+
+
 def test_abelianizations():
     # tangle complement of A: three meridians with one vertex relation
     assert abelianization(presentation(builtin("A"))) == AbelianInvariants(2, ())
@@ -183,6 +227,15 @@ def test_long_block_word_has_free_abelian_rank_2():
 def test_format_presentation_capital_inverse():
     p = FinitePresentation(("x1", "y1"), ((("x1", 1), ("y1", -1)),))
     assert format_presentation(p) == "gens: x1,y1\nx1 Y1"
+
+
+@settings(max_examples=200, deadline=None)
+@given(helpers.presentations())
+def test_format_presentation_matches_letter_by_letter(p):
+    lines = ["gens: " + ",".join(p.generators)]
+    lines.extend(" ".join(g if e == 1 else g[0].upper() + g[1:] for g, e in rel)
+                 for rel in p.relators)
+    assert format_presentation(p) == "\n".join(lines)
 
 
 @settings(max_examples=200, deadline=None)
