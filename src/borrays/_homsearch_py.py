@@ -30,20 +30,41 @@ the most relators.  Replaying the propagation keeps the search tree: a
 node fails exactly when some relator closed at it fails, whichever
 relator solves a generator.
 
-:func:`search_homs` walks the levels with an explicit stack of iterators
-over the group's elements.  Each generator's image and its inverse sit in
-two registers, so a step is a word of register reads multiplied through
-the table.  Every solved value is checked for membership in the group.
+Each generator's image and its inverse sit in two registers, so a step
+is a word of register reads multiplied through the table.  Each level
+runs as one generated Python generator function (generated Python, no
+native code).  On entry it loads the registers of earlier levels that it
+reads into locals, and takes the table row of each loaded value that
+starts a product; it then loops over its candidates, runs its solves and
+checks as straight-line ``mul[..][..]`` expressions, stores into ``val``
+only the registers that a later level (or ``collect``) reads, and yields
+on each success.  :func:`live_plan` is the backward liveness pass behind
+it.  A solved value that a proper subgroup may not contain is checked for
+membership, so in a centralizer every solve stays; in Sym(n) itself the
+check cannot fail, so a solve that nothing reads is dropped.  An inverse
+that nothing reads is never computed.
+
+The source of a level holds only fixed text and local names numbered in
+order of first use; the ``val`` indices it loads and stores are arguments
+of the factory that source defines.  So levels of one *shape* share one
+compiled factory: a 1000-block word has a few dozen shapes.  The bounded
+cache :func:`_factory` maps source to factory and holds no plan; the
+functions for one plan, per mode, hang on the plan itself.
+
+:func:`search_homs` keeps a stack of these generators, one per searched
+level; the orbit split's fixed levels and the pre-cascade run the same
+functions over a one-element candidate tuple.
 """
 
 from array import array
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import permutations
 
 from .errors import BudgetExceededError
 
 __all__ = ["Group", "Level", "Plan", "symmetric_group", "compile_plan",
-           "search_homs"]
+           "live_plan", "search_homs"]
 
 
 class Group:
@@ -56,7 +77,7 @@ class Group:
     member: ``member[a]`` is 1 iff ``a`` is an element.
     """
 
-    __slots__ = ("perms", "mul", "inv", "elements", "member")
+    __slots__ = ("perms", "mul", "inv", "elements", "member", "__weakref__")
 
     def __init__(self, perms, mul, inv, elements, member):
         self.perms, self.mul, self.inv = perms, mul, inv
@@ -113,12 +134,17 @@ class Level:
 
 
 class Plan:
-    """A compiled search: the pre-cascade, then one level per branch."""
+    """A compiled search: the pre-cascade, then one level per branch.
 
-    __slots__ = ("num_gens", "pre", "levels")
+    kernels: the generated level functions, built on first use, per
+        ``(full, collect)`` mode of :func:`search_homs`.
+    """
+
+    __slots__ = ("num_gens", "pre", "levels", "kernels", "__weakref__")
 
     def __init__(self, num_gens, pre, levels):
         self.num_gens, self.pre, self.levels = num_gens, pre, levels
+        self.kernels = {}
 
 
 def compile_plan(num_gens, relators, names):
@@ -243,6 +269,144 @@ def compile_plan(num_gens, relators, names):
     return Plan(num_gens, pre, tuple(levels))
 
 
+def live_plan(plan, full, collect):
+    """The plan's levels, the pre-cascade first, without dead solves.
+
+    A solve is dead when no later step reads its value or its inverse
+    and, when ``collect`` is set, its generator's image is not collected.
+    Dead solves go only when ``full``: the group is all of Sym(n), so a
+    solved value is always a member.  In a proper subgroup every solve
+    stays for its membership check.  Every check stays.
+    """
+    read = set(range(0, 2 * plan.num_gens, 2)) if collect else set()
+    out = []
+    for level in reversed((plan.pre,) + plan.levels):
+        for first, rest, reg in level.checks:
+            read.update(rest, (first, reg))
+        solves = []
+        for first, rest, reg in reversed(level.solves):
+            if not full or reg in read or reg + 1 in read:
+                read.update(rest, (first,))
+                solves.append((first, rest, reg))
+        out.append(Level(level.gen, tuple(reversed(solves)), level.checks))
+    return tuple(reversed(out))
+
+
+def _reads(level):
+    """The registers a level's steps read."""
+    reads = {reg for _, _, reg in level.checks}
+    for first, rest, _ in level.solves + level.checks:
+        reads.update(rest, (first,))
+    return reads
+
+
+# Words longer than this are multiplied in several statements, which keeps
+# the generated expressions well inside the parser's nesting limit.
+_CHUNK = 32
+
+
+def _level_source(level, later, identity, full):
+    """Source of one level's generator factory, and the factory's arguments.
+
+    later: the registers that later levels (or ``collect``) read.
+
+    The source holds only fixed text and local names ``r0, r1, ...`` given
+    in order of first use, so levels that differ only in their register
+    numbers share one source.  The registers the level loads from ``val``
+    and stores into it are the factory's arguments.
+    """
+    reads = _reads(level)
+    names, loads, rows, lines = {}, {}, {}, []
+
+    def local(reg):
+        names[reg] = f"r{len(names)}"
+        return names[reg]
+
+    def name(reg):
+        if reg == identity:
+            return "0"
+        if reg not in names:
+            loads[reg] = local(reg)
+        return names[reg]
+
+    def inverse(reg):
+        if reg + 1 in reads or reg + 1 in later:
+            lines.append(f"{local(reg + 1)} = inv[{names[reg]}]")
+
+    def product(first, rest):
+        if not rest:
+            return name(first)
+        if first in loads or first not in names:
+            # A loaded value is the same at every candidate: take its row
+            # of the table once, on entry.
+            if first not in rows:
+                rows[first] = f"m{len(rows)}"
+                name(first)
+            row = rows[first]
+        else:
+            row = f"mul[{names[first]}]"
+        expr = f"{row}[{name(rest[0])}]"
+        for i, reg in enumerate(rest[1:], 1):
+            if i % _CHUNK == 0:
+                lines.append(f"t = {expr}")
+                expr = "t"
+            expr = f"mul[{expr}][{name(reg)}]"
+        return expr
+
+    if level.gen is None:
+        loop = "for _ in cands:"
+    else:
+        loop = f"for {local(2 * level.gen)} in cands:"
+        inverse(2 * level.gen)
+    for first, rest, reg in level.solves:
+        value = product(first, rest)
+        lines.append(f"{local(reg)} = {value}")
+        if not full:
+            lines.append(f"if not member[{names[reg]}]: continue")
+        inverse(reg)
+    for first, rest, reg in level.checks:
+        lines.append(f"if {product(first, rest)} != {name(reg)}: continue")
+    stores = [reg for reg in names if reg in later and reg not in loads]
+    lines += [f"val[o{i}] = {names[reg]}" for i, reg in enumerate(stores)]
+    args = [f"i{i}" for i in range(len(loads))] + [f"o{i}" for i in range(len(stores))]
+    source = "\n".join([
+        f"def factory({', '.join(args)}):",
+        "    def level(val, mul, inv, member, cands):",
+        *(f"        {names[reg]} = val[i{i}]" for i, reg in enumerate(loads)),
+        *(f"        {row} = mul[{names[reg]}]" for reg, row in rows.items()),
+        f"        {loop}",
+        *(f"            {line}" for line in lines),
+        "            yield True",
+        "    return level",
+    ])
+    return source, [*loads, *stores]
+
+
+@lru_cache(maxsize=256)
+def _factory(source):
+    """The level factory a :func:`_level_source` text defines."""
+    namespace = {}
+    exec(compile(source, "<level>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _level_functions(plan, full, collect):
+    """One generator function per level, the pre-cascade first.
+
+    Built once per plan and mode, and kept on the plan.
+    """
+    key = (full, collect)
+    if key not in plan.kernels:
+        read = set(range(0, 2 * plan.num_gens, 2)) if collect else set()
+        functions = []
+        for level in reversed(live_plan(plan, full, collect)):
+            source, args = _level_source(level, read, 2 * plan.num_gens, full)
+            functions.append(_factory(source)(*args))
+            read |= _reads(level)
+        plan.kernels[key] = tuple(reversed(functions))
+    return plan.kernels[key]
+
+
 def search_homs(plan, group, fixed, budget, collect):
     """Count (and optionally collect) the homs a plan accepts into ``group``.
 
@@ -250,70 +414,51 @@ def search_homs(plan, group, fixed, budget, collect):
     group: a :class:`Group`; every generator ranges over its elements.
     fixed: element indices for the plan's first ``len(fixed)`` levels,
         which are not branched and count no nodes.
-    budget: cap on candidate assignments tried.
+    budget: cap on candidate assignments tried (nodes).  A searched
+        level always tries every element of the group, so it adds them
+        all to the nodes when entered and raises BudgetExceededError once
+        the total passes the budget.  The totals, and which budgets
+        raise, are those of counting the candidates one at a time.
     collect: if true, also return the list of homs (tuples of element
         indices indexed by generator), in enumeration order.
 
     Returns (count, homs or None, nodes).
     """
-    mul, inv, member = group.mul, group.inv, group.member
-    val = [0] * (2 * plan.num_gens + 1)
+    mul, inv, member, elements = group.mul, group.inv, group.member, group.elements
+    functions = _level_functions(plan, len(elements) == len(group.perms), collect)
+    val = [0] * (2 * plan.num_gens)
     homs = [] if collect else None
-
-    def settle(level, x):
-        """Assign ``x`` to the level's generator; do its steps all hold?"""
-        if level.gen is not None:
-            if not member[x]:
-                return False
-            val[2 * level.gen] = x
-            val[2 * level.gen + 1] = inv[x]
-        for first, rest, reg in level.solves:
-            v = val[first]
-            for r in rest:
-                v = mul[v][val[r]]
-            if not member[v]:
-                return False
-            val[reg] = v
-            val[reg + 1] = inv[v]
-        for first, rest, reg in level.checks:
-            v = val[first]
-            for r in rest:
-                v = mul[v][val[r]]
-            if v != val[reg]:
-                return False
-        return True
-
-    levels = plan.levels
-    start = len(fixed)
-    if not all(settle(level, x)
-               for level, x in zip((plan.pre,) + levels, (None, *fixed))):
+    if not all(member[x] for x in fixed):
         return 0, homs, 0
-    if start == len(levels):
+    for level, x in zip(functions, (0, *fixed)):
+        if not next(level(val, mul, inv, member, (x,)), False):
+            return 0, homs, 0
+    start = len(fixed) + 1
+    last = len(functions) - 1
+    if start > last:
         if collect:
-            homs.append(tuple(val[0:-1:2]))
+            homs.append(tuple(val[::2]))
         return 1, homs, 0
 
-    last = len(levels) - 1
-    elements = group.elements
-    its = [None] * len(levels)
-    its[start] = iter(elements)
+    size = len(elements)
+    its = [None] * len(functions)
     depth = start
     count = nodes = 0
     while depth >= start:
-        level = levels[depth]
-        for x in its[depth]:
-            nodes += 1
+        it = its[depth]
+        if it is None:
+            nodes += size
             if nodes > budget:
                 raise BudgetExceededError(budget)
-            if settle(level, x):
-                if depth == last:
-                    count += 1
-                    if collect:
-                        homs.append(tuple(val[0:-1:2]))
-                else:
-                    depth += 1
-                    its[depth] = iter(elements)
-                    break
-        else:
-            depth -= 1
-    return count, homs, nodes
+            it = its[depth] = functions[depth](val, mul, inv, member, elements)
+        if depth < last and next(it, False):
+            depth += 1
+            continue
+        if depth == last:  # each success yields True
+            if collect:
+                homs.extend(tuple(val[::2]) for _ in it)
+            else:
+                count += sum(it)
+        its[depth] = None
+        depth -= 1
+    return (len(homs) if collect else count), homs, nodes

@@ -1,6 +1,8 @@
 """Homomorphism counting into symmetric groups: totals, classes, kernels."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -215,6 +217,28 @@ def test_kernel_budget_exceeded():
         _search(4, 3, _XYZ, budget=3, collect=False)
 
 
+@pytest.mark.parametrize("collect", [False, True])
+def test_kernel_budget_boundary(collect):
+    # eps3 branches on two generators over Sym(4): 24 + 24 * 24 nodes.
+    plan = _compiled(presentation(builtin("eps3")))
+    sym = _kernel.symmetric_group(4)
+    count, _, nodes = _kernel.search_homs(plan, sym, (), 600, collect)
+    assert (count, nodes) == (576, 600)
+    with pytest.raises(BudgetExceededError):
+        _kernel.search_homs(plan, sym, (), 599, collect)
+
+
+@pytest.mark.parametrize("method, p, n, nodes", [
+    (count_classes_burnside, presentation(builtin("A")), 5, 20_693),
+    (count_classes_enumerate,
+     presentation(concat(builtin("A"), builtin("A"))), 4, 30_552),
+])
+def test_budget_boundary_of_a_count(method, p, n, nodes):
+    assert method(p, n, budget=nodes).nodes == nodes
+    with pytest.raises(BudgetExceededError):
+        method(p, n, budget=nodes - 1)
+
+
 _kernel_relators = st.lists(
     st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])),
              min_size=0, max_size=5).map(tuple),
@@ -389,6 +413,79 @@ def test_plan_of_a_1000_block_word_is_pinned():
     assert len(order) == 1002
     assert order[:10] == ["x100", "y100", "z100", "x102", "x104", "x106",
                           "x108", "x110", "x98", "x96"]
+
+
+def test_live_plan_drops_dead_solves_only_in_sym_n_counts():
+    p = presentation(builtin("A"))
+    plan = _compiled(p)
+
+    def solved(level):
+        return [p.generators[reg // 2] for _, _, reg in level.solves]
+
+    # Only z1 and y1 feed the check x1 y1 z1.
+    last = _kernel.live_plan(plan, full=True, collect=False)[-1]
+    assert solved(last) == ["z1", "y1"]
+    assert last.checks == plan.levels[-1].checks and len(last.checks) == 1
+    # In a centralizer each solve keeps its membership check, and a
+    # collected hom needs every image.
+    for full, collect in ((False, False), (False, True), (True, True)):
+        last = _kernel.live_plan(plan, full, collect)[-1]
+        assert solved(last) == ["z3", "z1", "y1", "x3"]
+        assert last.checks == plan.levels[-1].checks
+
+
+def test_generator_names_stay_out_of_generated_code():
+    # Names are compared only to break ties.  A common suffix keeps their
+    # order, so the plan, the counts and the nodes are the same.
+    plain = presentation(builtin("A"))
+    odd = {g: g + "\")\n'\\" for g in plain.generators}
+    renamed = FinitePresentation(
+        tuple(odd[g] for g in plain.generators),
+        tuple(tuple((odd[g], e) for g, e in rel) for rel in plain.relators))
+    for n in (3, 4):
+        assert count_total(renamed, n) == count_total(plain, n)
+        assert (count_classes_burnside(renamed, n)
+                == count_classes_burnside(plain, n))
+
+
+def test_long_relators_compile():
+    # (a b)^125 = 1 forces a b = 1 in Sym(3), where no element has order
+    # 5, 25 or 125.  Its check multiplies 249 letters, more levels of
+    # nesting than one Python expression may hold.
+    def p(k):
+        return FinitePresentation(("a", "b"), ((("a", 1), ("b", 1)) * k,))
+
+    assert count_total(p(125), 3) == count_total(p(1), 3) == 6
+    assert (count_classes_burnside(p(125), 3).class_count
+            == count_classes_burnside(p(1), 3).class_count == 3)
+
+
+def test_no_plan_outlives_its_count(monkeypatch):
+    seen = []
+    search = _kernel.search_homs
+
+    def spy(plan, group, *args):
+        seen.append((weakref.ref(plan), weakref.ref(group)))
+        return search(plan, group, *args)
+
+    monkeypatch.setattr(_kernel, "search_homs", spy)
+    count_classes_burnside(presentation(builtin("A")), 4)
+    gc.collect()
+    assert seen and all(plan() is None and group() is None
+                        for plan, group in seen)
+
+
+def test_compiled_level_code_stays_bounded():
+    assert _kernel._factory.cache_info().maxsize == 256
+    # The word of test_plan_of_a_1000_block_word_is_pinned: 1,003 level
+    # functions (the pre-cascade and 1,002 levels) from a few shapes.
+    rng = random.Random(5)
+    word = [rng.choice(("A", "Ab", "As", "Abs")) for _ in range(1000)]
+    plan = _compiled(presentation(concat(*map(builtin, word))))
+    _kernel._factory.cache_clear()
+    _kernel.search_homs(plan, _kernel.symmetric_group(2), (), DEFAULT_BUDGET,
+                        False)
+    assert _kernel._factory.cache_info().currsize == 22
 
 
 def test_deep_plans_need_no_recursion():
