@@ -6,12 +6,15 @@ independent routes: explicit orbit partitioning of the enumerated
 homomorphism set, and a Burnside average over conjugacy-class
 representatives (counting homomorphisms into centralizers).
 
-Every count into a group (Sym(n) for the total, a centralizer for each
+One orbit-stabilizer routine, :func:`_conjugation_orbits`, gives the
+Burnside terms: the orbits of Sym(n) conjugating itself, with their
+centralizers.  Every count into a group (Sym(n) for the total, a centralizer for each
 Burnside term) factors out conjugation at the first two branching
-generators: the first ranges over one representative per conjugacy class
-of the group, the second over one representative per orbit of the first
-image's centralizer, each term weighted by its orbit sizes.  Enumeration
-stays unreduced, so it remains an independent cross-check.
+generators by the same routine: the first ranges over one representative
+per conjugacy class of the group, the second over one representative per
+orbit of the first image's centralizer, each term weighted by its orbit
+sizes.  Enumeration stays unreduced, so it remains an independent
+cross-check.
 
 ``budget`` caps the search nodes of a whole count, summed over its kernel
 calls; a searched level spends one node per element of the group when it
@@ -27,7 +30,8 @@ generated Python code; in Sym(n) itself it skips the solves whose values
 nothing reads.  The orbit split's two fixed images are values for the plan's first two
 levels.  Enumeration converts indices
 to :class:`Permutation` only at its edge.  Degrees above ``MAX_DEGREE``
-are refused, because the table of Sym(n) holds (n!)^2 entries.
+are refused, because the table of Sym(n) holds (n!)^2 entries, and
+enumeration refuses degrees above ``MAX_ENUMERATE_DEGREE``.
 """
 
 from bisect import bisect_left
@@ -43,12 +47,12 @@ __all__ = [
     "HomClassCount",
     "DEFAULT_BUDGET",
     "MAX_DEGREE",
+    "MAX_ENUMERATE_DEGREE",
     "kernel_name",
     "enumerate_homs",
     "count_total",
     "count_classes_enumerate",
     "count_classes_burnside",
-    "conjugacy_classes",
 ]
 
 DEFAULT_BUDGET = 10**10
@@ -56,6 +60,10 @@ DEFAULT_BUDGET = 10**10
 # Every count builds the Cayley table of Sym(n), (n!)^2 two-byte entries:
 # 51 MB for Sym(7), while Sym(8)'s would need about 3.3 GB.
 MAX_DEGREE = 7
+
+# Enumeration keeps every homomorphism and has no orbit split: eps3 into
+# Sym(7) holds 25,401,600 of them, and A would search about 5040^3 nodes.
+MAX_ENUMERATE_DEGREE = 6
 
 
 def kernel_name() -> str:
@@ -108,11 +116,17 @@ def _compiled(p: FinitePresentation):
     return _kernel.compile_plan(len(gens), relators, gens)
 
 
-def _check_degree(n):
+def _check_degree(n, enumerating=False):
     if n > MAX_DEGREE:
         raise ValueError(
             f"degree {n} is above the largest supported degree, "
             f"MAX_DEGREE = {MAX_DEGREE}"
+        )
+    if enumerating and n > MAX_ENUMERATE_DEGREE:
+        raise ValueError(
+            f"degree {n} is above the largest degree for enumeration, "
+            f"MAX_ENUMERATE_DEGREE = {MAX_ENUMERATE_DEGREE}; "
+            "the Burnside method counts it"
         )
 
 
@@ -138,9 +152,10 @@ def enumerate_homs(p: FinitePresentation, n: int, budget: int = DEFAULT_BUDGET):
     """Iterator over every homomorphism into Sym(n), in a deterministic order.
 
     Each homomorphism is a dict mapping generator symbol to Permutation.
-    The search runs, and a degree above ``MAX_DEGREE`` is refused, on call.
+    The search runs, and a degree above ``MAX_ENUMERATE_DEGREE`` is
+    refused, on call.
     """
-    _check_degree(n)
+    _check_degree(n, enumerating=True)
     sym = _kernel.symmetric_group(n)
     _, homs = _Budget(budget).search(_compiled(p), sym, collect=True)
     return (
@@ -150,44 +165,13 @@ def enumerate_homs(p: FinitePresentation, n: int, budget: int = DEFAULT_BUDGET):
     )
 
 
-def conjugacy_classes(n: int):
-    """(representative, class size) per conjugacy class of Sym(n).
-
-    Representatives are 0-based image tuples with cycles laid out in
-    descending length; classes are ordered by partition, largest part first.
-    """
-    def parts(total, most):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, most), 0, -1):
-            for rest in parts(total - first, first):
-                yield (first,) + rest
-
-    out = []
-    for partition in parts(n, n):
-        perm = list(range(n))
-        start = 0
-        for length in partition:
-            for i in range(length):
-                perm[start + i] = start + (i + 1) % length
-            start += length
-        size = factorial(n)
-        mult = {}
-        for length in partition:
-            mult[length] = mult.get(length, 0) + 1
-        for length, m in mult.items():
-            size //= length**m * factorial(m)
-        out.append((tuple(perm), size))
-    return out
-
-
 def _conjugation_orbits(acting, group):
-    """(representative, orbit size) per orbit of ``acting`` on ``group``.
+    """(representative, orbit size, stabilizer) per orbit of ``acting`` on ``group``.
 
     ``acting`` lists elements of the :class:`~borrays._homsearch_py.Group`
-    ``group``, a subgroup acting by conjugation; representatives are the
-    first orbit members in ``group``'s order.
+    ``group`` in ascending order, a subgroup acting by conjugation;
+    representatives are the first orbit members in ``group``'s order.  A
+    stabilizer is the representative's centralizer in ``acting``, ascending.
     """
     mul, inv = group.mul, group.inv
     seen = bytearray(len(mul))
@@ -195,10 +179,15 @@ def _conjugation_orbits(acting, group):
     for y in group.elements:
         if seen[y]:
             continue
-        orbit = {mul[mul[h][y]][inv[h]] for h in acting}  # h y h^-1
+        orbit, stabilizer = set(), []
+        for h in acting:
+            z = mul[mul[h][y]][inv[h]]  # h y h^-1
+            orbit.add(z)
+            if z == y:
+                stabilizer.append(h)
         for z in orbit:
             seen[z] = 1
-        out.append((y, len(orbit)))
+        out.append((y, len(orbit), stabilizer))
     return out
 
 
@@ -209,24 +198,19 @@ def _count_into(plan, group, budget: _Budget) -> int:
     element of the group does not change the number of homomorphisms
     extending them.  So the first ranges over one representative per
     conjugacy class of the group, the second over one representative per
-    orbit of the first image's centralizer in the group, and each kernel
-    call is weighted by both orbit sizes.  They are values for the plan's
-    first two levels.
+    orbit of the first image's centralizer in the group (its stabilizer
+    from the first level), and each kernel call is weighted by both orbit
+    sizes.  They are values for the plan's first two levels.
     """
-    mul = group.mul
-    terms = [((), 1)]
+    terms = [((), 1, group.elements)]
     for _ in plan.levels[:2]:
         terms = [
-            (fixed + (y,), weight * size)
-            for fixed, weight in terms
-            for y, size in _conjugation_orbits(
-                [h for h in group.elements
-                 if all(mul[h][x] == mul[x][h] for x in fixed)],
-                group,
-            )
+            (fixed + (y,), weight * size, stabilizer)
+            for fixed, weight, acting in terms
+            for y, size, stabilizer in _conjugation_orbits(acting, group)
         ]
     return sum(weight * budget.search(plan, group, fixed)[0]
-               for fixed, weight in terms)
+               for fixed, weight, _ in terms)
 
 
 def count_total(p: FinitePresentation, n: int,
@@ -276,7 +260,7 @@ def _orbit_count(homs, group):
 def count_classes_enumerate(p: FinitePresentation, n: int,
                             budget: int = DEFAULT_BUDGET) -> HomClassCount:
     """Class count by full enumeration and explicit orbit partitioning."""
-    _check_degree(n)
+    _check_degree(n, enumerating=True)
     budget = _Budget(budget)
     sym = _kernel.symmetric_group(n)
     count, homs = budget.search(_compiled(p), sym, collect=True)
@@ -290,23 +274,19 @@ def count_classes_burnside(p: FinitePresentation, n: int,
 
     A homomorphism is fixed by conjugation with pi iff every generator
     image commutes with pi, i.e. iff it maps into the centralizer of pi.
-    The identity's centralizer is Sym(n), so its term is the total.
+    The terms come from the orbit split's orbit-stabilizer routine, with
+    Sym(n) conjugating itself: each class's first element, its size and
+    its centralizer.  The identity's class comes first, and its
+    centralizer is Sym(n), so its term is the total.
     """
     _check_degree(n)
     plan = _compiled(p)
     budget = _Budget(budget)
     sym = _kernel.symmetric_group(n)
-    mul = sym.mul
-    total = None
-    acc = 0
-    for rep, size in conjugacy_classes(n):
-        r = bisect_left(sym.perms, rep)
-        centralizer = sym.subgroup(q for q in sym.elements
-                                   if mul[q][r] == mul[r][q])
-        fixed_count = _count_into(plan, centralizer, budget)
-        if r == 0:
-            total = fixed_count
-        acc += size * fixed_count
+    terms = [(size, _count_into(plan, sym.subgroup(centralizer), budget))
+             for _, size, centralizer in _conjugation_orbits(sym.elements, sym)]
+    total = terms[0][1]
+    acc = sum(size * fixed_count for size, fixed_count in terms)
     if acc % factorial(n):
         raise IntegrityError("Burnside sum is not divisible by n!")
     return HomClassCount(n, total, acc // factorial(n), "burnside",

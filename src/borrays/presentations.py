@@ -34,20 +34,29 @@ __all__ = [
     "format_presentation",
 ]
 
-# Strand letters follow the x, y, z naming for 3-strand blocks, then wrap.
+# Strand letters follow the x, y, z naming for 3-strand blocks.
 _LETTERS = "xyz" + string.ascii_lowercase.replace("x", "").replace("y", "").replace("z", "")
 
 
 def strand_letter(k: int) -> str:
-    """Letter used to name the arcs of strand k (1-based)."""
-    return _LETTERS[(k - 1) % len(_LETTERS)]
+    """Letters naming the arcs of strand k (1-based), distinct for each k.
+
+    Strands 1..26 get one letter each; past that, k is written in
+    bijective base 26 over the same letters: xx, xy, ..., ww, xxx, ...
+    """
+    name = ""
+    while k:
+        k, r = divmod(k - 1, len(_LETTERS))
+        name = _LETTERS[r] + name
+    return name
 
 
 @dataclass(frozen=True)
 class FinitePresentation:
     """Generators and freely reduced relator words.
 
-    A relator is a tuple of letters ``(generator, +-1)``.
+    A relator is a tuple of letters ``(generator, +-1)``.  Generator
+    names are distinct.
     """
 
     generators: tuple
@@ -55,6 +64,9 @@ class FinitePresentation:
 
     def __post_init__(self):
         declared = set(self.generators)
+        if len(declared) < len(self.generators):
+            (g, _), = Counter(self.generators).most_common(1)
+            raise ValueError(f"generator {g!r} is declared more than once")
         for rel in self.relators:
             for g, e in rel:
                 if g not in declared:
@@ -294,14 +306,8 @@ def tietze_simplify(p: FinitePresentation) -> FinitePresentation:
             else:
                 del words[rid], version[rid]
         del occ[g]
-    # Drop each eliminated name's first occurrence, as list.remove would.
-    gens = []
-    for g in p.generators:
-        if g in eliminated:
-            eliminated.discard(g)
-        else:
-            gens.append(g)
-    return FinitePresentation(tuple(gens), tuple(words.values()))
+    gens = tuple(g for g in p.generators if g not in eliminated)
+    return FinitePresentation(gens, tuple(words.values()))
 
 
 def _nearest_quotient(a, p):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from borrays import cli, diagrams, groupoid
 from borrays.homcount import (
     MAX_DEGREE,
+    MAX_ENUMERATE_DEGREE,
     count_classes_burnside,
     count_classes_enumerate,
 )
@@ -65,6 +66,18 @@ def test_homcount_degree_above_max_is_a_user_error(capsys, deep):
         assert out == ""
         assert len(err.splitlines()) == 1
         assert f"MAX_DEGREE = {MAX_DEGREE}" in err
+
+
+@pytest.mark.parametrize("method", ["enumerate", "both"])
+def test_homcount_enumerate_refuses_sym7(capsys, method):
+    # Refused before the table of Sym(7) is built; Burnside keeps degree 7.
+    code, out, err = run(capsys, "homcount", "--expr", "eps3", "--sym", "7",
+                         "--deep", "--method", method)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert f"MAX_ENUMERATE_DEGREE = {MAX_ENUMERATE_DEGREE}" in err
 
 
 def test_homcount_budget_exhaustion(capsys):
@@ -195,8 +208,19 @@ def test_expr_and_file_together_is_a_usage_error(capsys, tmp_path, command):
 def test_present_output(capsys):
     code, out, _ = run(capsys, "present", "--expr", "A")
     assert code == 0
-    assert out.startswith("gens: ")
-    assert "x1 y1 z1" in out
+    assert out == (
+        "gens: x1,x2,x3,y1,y2,y3,z1,z2,z3\n"
+        "Y2 x1 y2 X2\n"
+        "Z2 x2 z2 X3\n"
+        "Z2 y1 z2 Y2\n"
+        "X2 y2 x2 Y3\n"
+        "X2 z1 x2 Z2\n"
+        "Y2 z2 y2 Z3\n"
+        "x1 y1 z1\n"
+    )
+    code, out, _ = run(capsys, "present", "--expr", "eps3")
+    assert code == 0
+    assert out == "gens: x1,y1,z1\nx1 y1 z1\n"
 
 
 def test_present_simplify_and_abelianization(capsys):

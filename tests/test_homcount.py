@@ -13,16 +13,22 @@ from borrays.errors import BudgetExceededError, IntegrityError
 from borrays.homcount import (
     DEFAULT_BUDGET,
     MAX_DEGREE,
+    MAX_ENUMERATE_DEGREE,
     HomClassCount,
     Permutation,
-    conjugacy_classes,
     count_classes_burnside,
     count_classes_enumerate,
     count_total,
     enumerate_homs,
     kernel_name,
 )
-from borrays.homcount import _Budget, _compiled, _count_into, _kernel
+from borrays.homcount import (
+    _Budget,
+    _compiled,
+    _conjugation_orbits,
+    _count_into,
+    _kernel,
+)
 from borrays.presentations import FinitePresentation, presentation
 
 import helpers
@@ -97,14 +103,46 @@ def test_count_total_free_groups():
             assert count_total(p, n) == factorial(n) ** rank
 
 
-def test_conjugacy_classes_partition_group():
-    for n in (1, 2, 3, 4, 5, 6):
-        cls = conjugacy_classes(n)
-        assert sum(size for _, size in cls) == factorial(n)
-        reps = [rep for rep, _ in cls]
-        assert len(set(reps)) == len(reps)
-        for rep in reps:
-            assert sorted(rep) == list(range(n))
+def _cycle_type(q):
+    """Sorted cycle lengths of a 0-based image tuple."""
+    seen, lengths = set(), []
+    for start in range(len(q)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = q[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _commutes(p, q):
+    return all(p[q[i]] == q[p[i]] for i in range(len(p)))
+
+
+def _first_of_each_cycle_type(n):
+    """The first permutation of each cycle type, in sorted order."""
+    firsts = {}
+    for q in sorted(permutations(range(n))):
+        firsts.setdefault(_cycle_type(q), q)
+    return list(firsts.values())
+
+
+def test_conjugation_orbits_of_sym_n_are_its_classes():
+    for n, partitions in zip((1, 2, 3, 4, 5, 6), (1, 2, 3, 5, 7, 11)):
+        sym = _kernel.symmetric_group(n)
+        perms = sym.perms
+        orbits = _conjugation_orbits(sym.elements, sym)
+        assert len(orbits) == partitions
+        assert sum(size for _, size, _ in orbits) == factorial(n)
+        assert [perms[rep] for rep, _, _ in orbits] == sorted(
+            _first_of_each_cycle_type(n))
+        for rep, size, stabilizer in orbits:
+            kind = _cycle_type(perms[rep])
+            assert size == sum(_cycle_type(q) == kind for q in perms)
+            assert stabilizer == [x for x, q in enumerate(perms)
+                                  if _commutes(q, perms[rep])]
 
 
 def test_enumerate_homs_deterministic_and_valid():
@@ -173,6 +211,15 @@ def test_degree_above_max_is_refused():
                   count_classes_burnside):
         with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
             count(p, MAX_DEGREE + 1)
+
+
+def test_enumeration_refuses_sym7():
+    p = presentation(builtin("eps3"))
+    assert MAX_ENUMERATE_DEGREE == MAX_DEGREE - 1
+    for count in (enumerate_homs, count_classes_enumerate):
+        with pytest.raises(ValueError, match=(
+                f"MAX_ENUMERATE_DEGREE = {MAX_ENUMERATE_DEGREE}")):
+            count(p, MAX_ENUMERATE_DEGREE + 1)
 
 
 def test_kernel_name_reports_a_kernel():
@@ -557,9 +604,8 @@ def test_orbit_split_matches_unsplit_search(relators, rank, n):
     p = FinitePresentation(gens, tuple(relators))
     sym = _kernel.symmetric_group(n)
     assert count_total(p, n) == _unsplit(p, n, sym)
-    for rep, _ in conjugacy_classes(n):
+    for rep in _first_of_each_cycle_type(n):
         centralizer = sym.subgroup(
-            x for x, q in enumerate(sym.perms)
-            if all(q[rep[i]] == rep[q[i]] for i in range(n)))
+            x for x, q in enumerate(sym.perms) if _commutes(q, rep))
         got = _count_into(_compiled(p), centralizer, _Budget(DEFAULT_BUDGET))
         assert got == _unsplit(p, n, centralizer)

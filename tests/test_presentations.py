@@ -41,6 +41,24 @@ A_DISPLAY = FinitePresentation(
 
 def test_strand_letters():
     assert [strand_letter(k) for k in (1, 2, 3, 4, 5)] == ["x", "y", "z", "a", "b"]
+    # Past 26 strands, bijective base 26 over the same letters.
+    assert [strand_letter(k) for k in (26, 27, 28, 52, 53, 702, 703)] == [
+        "w", "xx", "xy", "xw", "yx", "ww", "xxx"]
+    names = [strand_letter(k) for k in range(1, 2000)]
+    assert len(set(names)) == len(names)
+
+
+def test_eps_past_26_strands_has_distinct_generators():
+    # epsN presents a free group of rank N - 1.
+    for n in (27, 1000):
+        p = presentation(builtin(f"eps{n}"))
+        assert len(set(p.generators)) == len(p.generators) == n
+        assert abelianization(p) == AbelianInvariants(n - 1, ())
+
+
+def test_repeated_generator_name_is_refused():
+    with pytest.raises(ValueError, match="'x1' is declared more than once"):
+        FinitePresentation(("x1", "x1", "y1"), ((("x1", 1), ("y1", 1)),))
 
 
 def test_word_utilities():
@@ -114,8 +132,6 @@ def test_tietze_preserves_abelianization_on_a():
 
 @settings(max_examples=300, deadline=None)
 @given(helpers.presentations())
-# A repeated generator name loses its first occurrence only.
-@example(FinitePresentation(("x1", "x1", "y1"), ((("x1", 1), ("y1", 1)),)))
 # Equal candidate keys in two relators: the earlier relator is consumed.
 @example(FinitePresentation(("x1", "y1", "z1"), (
     (("y1", 1), ("x1", 1), ("y1", 1)), (("z1", 1), ("x1", -1), ("z1", 1)))))
