@@ -328,6 +328,16 @@ BUILTIN_NAMES = ("A", "Ab", "As", "Abs", "eps1", "eps2", "eps3", "dirac")
 MAX_EPS_STRANDS = 1000
 
 
+def _canonical_int(text):
+    """The int ``text`` spells if ``str`` of it gives ``text`` back, else
+    None: no "+", leading zero, space, "_" or non-ASCII digit."""
+    try:
+        n = int(text)
+    except ValueError:
+        return None
+    return n if str(n) == text else None
+
+
 def builtin(name: str) -> AnnularDiagram:
     """Return one of the hardcoded block diagrams.
 
@@ -343,17 +353,13 @@ def builtin(name: str) -> AnnularDiagram:
         return star(_builtin_a())
     if name == "Abs":
         return bar(star(_builtin_a()))
-    if name.startswith("eps"):
-        try:
-            n = int(name[3:])
-        except ValueError:
-            n = 0
-        if n > MAX_EPS_STRANDS:
-            raise ValueError(
-                f"builtin {name!r}: epsN takes at most {MAX_EPS_STRANDS} strands"
-            )
-        if n >= 1:
-            return _builtin_eps(n)
+    n = _canonical_int(name[3:]) if name.startswith("eps") else None
+    if n is not None and n > MAX_EPS_STRANDS:
+        raise ValueError(
+            f"builtin {name!r}: epsN takes at most {MAX_EPS_STRANDS} strands"
+        )
+    if n is not None and n >= 1:
+        return _builtin_eps(n)
     if name == "dirac":
         return _builtin_dirac()
     raise ValueError(
@@ -387,6 +393,18 @@ def _typed(value, kind, name):
     return value
 
 
+def _sign_key(key):
+    """The crossing id a ``signs`` key names, spelled as ``to_json`` writes
+    it; any other spelling could name a crossing twice."""
+    c = _canonical_int(key)
+    if c is None:
+        raise ValueError(
+            f"malformed diagram JSON: signs key {_brief(key)} is not a "
+            "canonical integer"
+        )
+    return c
+
+
 def from_json(text: str) -> AnnularDiagram:
     try:
         doc = json.loads(text)
@@ -403,7 +421,7 @@ def from_json(text: str) -> AnnularDiagram:
             for s in _typed(obj["strands"], list, "strands")
         ]
         signs = {
-            int(c): _typed(s, int, "sign")
+            _sign_key(c): _typed(s, int, "sign")
             for c, s in _typed(obj["signs"], dict, "signs").items()
         }
         orders = [

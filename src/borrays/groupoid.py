@@ -9,8 +9,9 @@ the two reflections, the inversion, and the half-turn) and their
 inverses are 24 generators.  Closing them under composition yields the
 96 realizable types; the remaining 288 are excluded by a complementary
 closure seeded with the types ruled out by homomorphism counts.  Both
-closures are one worklist pass that composes each new type with the 24
-generators only.
+closures follow one rule: a worklist that adds each new type's inverse
+and its compositions on the left with the six generators whose domain
+is its codomain.
 """
 
 from dataclasses import dataclass
@@ -147,38 +148,44 @@ def seed_types():
     return seeds
 
 
-def _closure(start, moves):
-    """The smallest superset of ``start`` closed under ``moves``.
-
-    ``moves(t)`` returns the types one step from ``t``, with None for a
-    composition that is not defined.  Each type is expanded exactly
-    once, when it is first added.
-    """
-    found = set(start)
-    todo = list(found)
-    while todo:
-        for u in moves(todo.pop()):
-            if u is not None and u not in found:
-                found.add(u)
-                todo.append(u)
-    return found
-
-
 def _generators():
     """The seed types and their inverses: 24 types."""
     seeds = seed_types()
     return seeds | {type_inverse(t) for t in seeds}
 
 
-def realized_closure():
-    """The groupoid generated by the seed types; 96 types.
+def _closure(start):
+    """The smallest superset of ``start`` closed under inverse and under
+    composition on the left with a generator.
 
-    Every realized type is a composable word g_k o ... o g_1 in the
-    generators (seeds and their inverses), so closing the generators
-    under composition on the left with a generator reaches all of them.
+    Generators are indexed by domain, so every composition formed is
+    defined; each type is expanded once, when it is first added.  From
+    the generators, which are closed under inverse, this gives exactly
+    the composable words in them.  From any start it is also the closure
+    under inverse and under composition with every realized type on
+    either side: a realized r is a word g_k o ... o g_1, so r o t is k
+    left steps from t, and t o r = (r^-1 o t^-1)^-1 is an inverse, the
+    left steps of r^-1, and an inverse again.
     """
-    gens = _generators()
-    return _closure(gens, lambda t: [type_compose(g, t) for g in gens])
+    by_domain = {b: [] for b in ALL_LABELS}
+    for g in _generators():
+        by_domain[g.domain].append(g)
+    found = set(start)
+    todo = list(found)
+    while todo:
+        t = todo.pop()
+        for u in [type_inverse(t), *(type_compose(g, t)
+                                     for g in by_domain[t.codomain])]:
+            if u not in found:
+                found.add(u)
+                todo.append(u)
+    return found
+
+
+def realized_closure():
+    """The groupoid generated by the seed types; 96 types: the closure
+    of the 24 generators."""
+    return _closure(_generators())
 
 
 def excluded_closure(realized):
@@ -198,21 +205,13 @@ def excluded_closure(realized):
     If two of alpha, beta, beta o alpha are realized, so is the third;
     hence composing an excluded type with a realized one, on either
     side, is excluded, and the inverse of an excluded type is excluded.
-    Each realized r is a word g_k o ... o g_1 in the generators, so
-    r o t is reached from t by k steps that each compose one generator
-    on the left, and t o r likewise on the right: closing under inverse
-    and under composition with the 24 generators on either side gives
-    the same set as composing with every realized type.
+    The closure of the seeds is that set (see ``_closure``).
 
     Raises IntegrityError if the result meets ``realized``.
     """
-    gens = _generators()
     excluded = _closure(
-        (DiffeoType(b1, b2, 1, 1, IDENTITY_PERM)
-         for b1 in ALL_LABELS for b2 in ALL_LABELS if b1 != b2),
-        lambda t: [type_inverse(t)]
-        + [type_compose(g, t) for g in gens]
-        + [type_compose(t, g) for g in gens],
+        DiffeoType(b1, b2, 1, 1, IDENTITY_PERM)
+        for b1 in ALL_LABELS for b2 in ALL_LABELS if b1 != b2
     )
     overlap = excluded & set(realized)
     if overlap:

@@ -117,6 +117,8 @@ def _compiled(p: FinitePresentation):
 
 
 def _check_degree(n, enumerating=False):
+    if n < 0:
+        raise ValueError(f"degree {n} is negative; Sym(n) needs n >= 0")
     if n > MAX_DEGREE:
         raise ValueError(
             f"degree {n} is above the largest supported degree, "

@@ -96,11 +96,18 @@ def free_reduce(word):
     return tuple(out)
 
 
+def _strip_ends(word):
+    """A freely reduced ``word`` without its cancelling end pairs, as a
+    tuple; the ends move inward by index, so this is linear."""
+    lo, hi = 0, len(word) - 1
+    while lo < hi and word[lo][0] == word[hi][0] and word[lo][1] == -word[hi][1]:
+        lo += 1
+        hi -= 1
+    return tuple(word[lo:hi + 1])
+
+
 def cyclic_reduce(word):
-    word = list(free_reduce(word))
-    while len(word) >= 2 and word[0][0] == word[-1][0] and word[0][1] == -word[-1][1]:
-        word = word[1:-1]
-    return tuple(word)
+    return _strip_ends(free_reduce(word))
 
 
 def invert_word(word):
@@ -294,11 +301,7 @@ def tietze_simplify(p: FinitePresentation) -> FinitePresentation:
                 start = i + 1
             _splice(out, old[start:])
             _check_letters(base + len(out))
-            lo, hi = 0, len(out) - 1
-            while lo < hi and out[lo][0] == out[hi][0] and out[lo][1] == -out[hi][1]:
-                lo += 1
-                hi -= 1
-            word = tuple(out[lo:hi + 1])
+            word = _strip_ends(out)
             total = base + len(word)
             if word:
                 words[rid] = word

@@ -259,6 +259,28 @@ def test_present_huge_eps_is_a_user_error(capsys):
     assert "at most 1000 strands" in err
 
 
+@pytest.mark.parametrize("name", ["eps01", "eps+2", "eps\u0663"])
+def test_present_noncanonical_eps_is_a_user_error(capsys, name):
+    code, out, err = run(capsys, "present", "--expr", name)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: unknown builtin diagram")
+
+
+@pytest.mark.parametrize("key", ["01", "x"])
+def test_present_noncanonical_sign_key_is_a_user_error(capsys, tmp_path, key):
+    obj = json.loads(diagrams.to_json(diagrams.builtin("A")))
+    obj["signs"][key] = -1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "present", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: malformed diagram JSON: signs key {key!r} is not "
+                   "a canonical integer\n")
+
+
 def test_present_simplify_blow_up_is_a_user_error(capsys):
     # Three copies of A Ab As Abs would simplify past the letter cap.
     word = " ".join(["A", "Ab", "As", "Abs"] * 3)

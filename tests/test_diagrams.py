@@ -26,7 +26,8 @@ from borrays.diagrams import (
 
 
 def test_builtin_names():
-    for name in ("A", "Ab", "As", "Abs", "eps1", "eps3", "eps5", "dirac"):
+    for name in ("A", "Ab", "As", "Abs", "eps1", "eps3", "eps5", "eps1000",
+                 "dirac"):
         d = builtin(name)
         assert validate(d) == []
     with pytest.raises(ValueError, match="valid names"):
@@ -136,9 +137,42 @@ def test_json_roundtrip():
     for name in ("A", "eps3", "dirac"):
         d = builtin(name)
         assert from_json(to_json(d)) == d
+    d = concat(builtin("Ab"), builtin("As"))  # two-digit sign keys
+    assert from_json(to_json(d)) == d
     obj = json.loads(to_json(builtin("A")))
     assert set(obj) == {"n_strands", "strands", "signs", "inner_order", "outer_order"}
     assert obj["strands"][0][0] == {"c": 1, "role": "u"}
+
+
+# Only the spelling ``str`` writes names an eps block; "eps 3" and the
+# Arabic-Indic digit three in "eps\u0663" are read as 3 by ``int``.
+@pytest.mark.parametrize("name", ["eps01", "eps+2", "eps\u0663", "eps 3",
+                                  "eps1_0", "eps0"])
+def test_noncanonical_eps_is_unknown(name):
+    with pytest.raises(ValueError, match="unknown builtin diagram"):
+        builtin(name)
+
+
+def _with_signs(signs):
+    """A's JSON with its ``signs`` object replaced, as text."""
+    obj = json.loads(to_json(builtin("A")))
+    obj["signs"] = signs
+    return json.dumps(obj)
+
+
+# Each key must be spelled as ``to_json`` writes it: "01" would name
+# crossing 1 a second time, with a sign that depends on key order.
+@pytest.mark.parametrize("signs, key", [
+    ({"1": 1, "01": -1, "2": 1, "3": 1, "4": 1, "5": 1, "6": 1}, "'01'"),
+    ({"01": -1, "1": 1, "2": 1, "3": 1, "4": 1, "5": 1, "6": 1}, "'01'"),
+    ({"x": 1}, "'x'"),
+    ({"+1": 1}, "'+1'"),
+], ids=["zero-padded-last", "zero-padded-first", "letter", "plus"])
+def test_noncanonical_sign_key_is_malformed(signs, key):
+    with pytest.raises(ValueError) as info:
+        from_json(_with_signs(signs))
+    assert str(info.value) == (
+        f"malformed diagram JSON: signs key {key} is not a canonical integer")
 
 
 def test_bar_star_definitions():

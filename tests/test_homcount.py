@@ -213,6 +213,20 @@ def test_degree_above_max_is_refused():
             count(p, MAX_DEGREE + 1)
 
 
+def test_negative_degree_is_refused():
+    p = presentation(builtin("A"))
+    for count in (count_total, enumerate_homs, count_classes_enumerate,
+                  count_classes_burnside):
+        with pytest.raises(ValueError, match="degree -1 is negative"):
+            count(p, -1)
+    # Sym(0), the trivial group, keeps its answers.
+    assert count_total(p, 0) == 1
+    assert len(list(enumerate_homs(p, 0))) == 1
+    for count in (count_classes_enumerate, count_classes_burnside):
+        r = count(p, 0)
+        assert (r.total_homs, r.class_count) == (1, 1)
+
+
 def test_enumeration_refuses_sym7():
     p = presentation(builtin("eps3"))
     assert MAX_ENUMERATE_DEGREE == MAX_DEGREE - 1

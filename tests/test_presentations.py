@@ -2,6 +2,7 @@
 
 import importlib.util
 import random
+import time
 from functools import reduce
 from pathlib import Path
 
@@ -66,6 +67,15 @@ def test_word_utilities():
     assert free_reduce(w) == (("a", 1), ("a", 1))
     assert cyclic_reduce((("a", -1), ("b", 1), ("a", 1))) == (("b", 1),)
     assert invert_word((("a", 1), ("b", -1))) == (("b", 1), ("a", -1))
+
+
+def test_cyclic_reduce_is_linear():
+    # a^n b a^-n: n cancelling end pairs, stripped by index in one pass.
+    n = 100_000
+    word = (("a", 1),) * n + (("b", 1),) + (("a", -1),) * n
+    start = time.perf_counter()
+    assert cyclic_reduce(word) == (("b", 1),)
+    assert time.perf_counter() - start < 1
 
 
 def test_presentation_of_a_matches_display():
