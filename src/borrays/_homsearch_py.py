@@ -30,19 +30,20 @@ the most relators.  Replaying the propagation keeps the search tree: a
 node fails exactly when some relator closed at it fails, whichever
 relator solves a generator.
 
-Each generator's image and its inverse sit in two registers, so a step
-is a word of register reads multiplied through the table.  Each level
-runs as one generated Python generator function (generated Python, no
-native code).  On entry it loads the registers of earlier levels that it
-reads into locals, and takes the table row of each loaded value that
-starts a product; it then loops over its candidates, runs its solves and
-checks as straight-line ``mul[..][..]`` expressions, stores into ``val``
-only the registers that a later level (or ``collect``) reads, and yields
-on each success.  :func:`live_plan` is the backward liveness pass behind
-it.  A solved value that a proper subgroup may not contain is checked for
+Each generator's image and its inverse sit in registers ``2g`` and
+``2g + 1``, and a step multiplies a word of registers (the empty word is
+the identity) through the table.  Each level runs as one generated Python
+generator function (no native code).  On entry it loads the registers of
+earlier levels that it reads into locals, and takes the table row of each
+loaded value that starts a product; it then loops over its candidates,
+runs its solves and checks as straight-line ``mul[..][..]`` expressions,
+stores into ``val`` only the registers that a later level (or
+``collect``) reads, and yields on each success.  :func:`live_plan`, the
+one backward liveness pass, drops dead solves and maps each register to
+the last level that reads it, which decides every inverse and store.  A
+solved value that a proper subgroup may not contain is checked for
 membership, so in a centralizer every solve stays; in Sym(n) itself the
-check cannot fail, so a solve that nothing reads is dropped.  An inverse
-that nothing reads is never computed.
+check cannot fail, so a solve that nothing reads is dropped.
 
 The source of a level holds only fixed text and local names numbered in
 order of first use; the ``val`` indices it loads and stores are arguments
@@ -51,9 +52,10 @@ compiled factory: a 1000-block word has a few dozen shapes.  The bounded
 cache :func:`_factory` maps source to factory and holds no plan; the
 functions for one plan, per mode, hang on the plan itself.
 
-:func:`search_homs` keeps a stack of these generators, one per searched
-level; the orbit split's fixed levels and the pre-cascade run the same
-functions over a one-element candidate tuple.
+:func:`search_homs` runs every level in one stack of these generators:
+the pre-cascade over the one candidate ``0``, the orbit split's fixed
+levels over their one fixed value each, and the searched levels over the
+group's elements.  Only the searched levels count nodes.
 """
 
 from array import array
@@ -120,10 +122,11 @@ class Level:
     """The steps that close once ``gen`` is assigned.
 
     gen: the branching generator; None for the pre-cascade.
-    solves, checks: steps ``(first, rest, register)``, the product of the
-        register values ``first, *rest``.  A solve stores it in
-        ``register`` (a generator's image; its inverse goes to
-        ``register + 1``); a check requires it to equal ``register``'s
+    solves, checks: steps ``(word, register)``.  ``word`` is a tuple of
+        registers, possibly empty, and its value is the product of their
+        values (the identity when empty).  A solve stores it in
+        ``register``, a generator's image, whose inverse goes to
+        ``register + 1``; a check requires it to equal ``register``'s
         value.
     """
 
@@ -136,6 +139,10 @@ class Level:
 class Plan:
     """A compiled search: the pre-cascade, then one level per branch.
 
+    num_gens: the number of generators.  Register ``2g`` holds generator
+        ``g``'s image and register ``2g + 1`` its inverse.
+    pre: the :class:`Level` of steps that close before any assignment.
+    levels: one :class:`Level` per branching generator, in branching order.
     kernels: the generated level functions, built on first use, per
         ``(full, collect)`` mode of :func:`search_homs`.
     """
@@ -166,11 +173,7 @@ def compile_plan(num_gens, relators, names):
     The least key is taken from a heap that skips entries of known
     generators and keys since replaced, so each level branches on the
     generator a full re-ranking would choose, and the plan is the same.
-
-    Register ``2g`` holds generator ``g``'s image and ``2g + 1`` its
-    inverse; register ``2 * num_gens`` holds the identity.
     """
-    identity = 2 * num_gens
     occ = [[] for _ in range(num_gens)]
     for ri, rel in enumerate(relators):
         for g, _ in rel:
@@ -179,11 +182,6 @@ def compile_plan(num_gens, relators, names):
     unassigned = [len(rel) for rel in relators]  # unknown letter occurrences
     closed = [False] * len(relators)
     touched = []  # relators whose count changed in the current level
-
-    def step(word, register):
-        if not word:
-            return identity, (), register
-        return word[0], tuple(word[1:]), register
 
     def assign(g, queue):
         known[g] = True
@@ -211,10 +209,10 @@ def compile_plan(num_gens, relators, names):
                 rotation = regs[pos + 1:] + regs[:pos]  # post · pre
                 if e > 0:
                     rotation = [r ^ 1 for r in reversed(rotation)]
-                solves.append(step(rotation, 2 * g))
+                solves.append((tuple(rotation), 2 * g))
                 assign(g, queue)
             elif rel:  # all but the last letter multiply to its inverse
-                checks.append(step(regs[:-1], regs[-1] ^ 1))
+                checks.append((tuple(regs[:-1]), regs[-1] ^ 1))
         return Level(gen, tuple(solves), tuple(checks))
 
     def rank(g):
@@ -272,32 +270,31 @@ def compile_plan(num_gens, relators, names):
 def live_plan(plan, full, collect):
     """The plan's levels, the pre-cascade first, without dead solves.
 
-    A solve is dead when no later step reads its value or its inverse
-    and, when ``collect`` is set, its generator's image is not collected.
+    Returns ``(levels, last)``.  ``last`` maps each register that a live
+    step reads to the index in ``levels`` of the last level that reads it;
+    when ``collect`` is set, each generator's image counts as read at
+    ``len(levels)``, after every level.
+
+    A solve is dead when no later step reads its value or its inverse.
     Dead solves go only when ``full``: the group is all of Sym(n), so a
     solved value is always a member.  In a proper subgroup every solve
     stays for its membership check.  Every check stays.
     """
-    read = set(range(0, 2 * plan.num_gens, 2)) if collect else set()
+    levels = (plan.pre,) + plan.levels
+    last = dict.fromkeys(range(0, 2 * plan.num_gens, 2), len(levels)) if collect else {}
     out = []
-    for level in reversed((plan.pre,) + plan.levels):
-        for first, rest, reg in level.checks:
-            read.update(rest, (first, reg))
+    for i, level in reversed(tuple(enumerate(levels))):
+        for word, reg in level.checks:
+            for r in (*word, reg):
+                last.setdefault(r, i)
         solves = []
-        for first, rest, reg in reversed(level.solves):
-            if not full or reg in read or reg + 1 in read:
-                read.update(rest, (first,))
-                solves.append((first, rest, reg))
+        for word, reg in reversed(level.solves):
+            if not full or reg in last or reg + 1 in last:
+                for r in word:
+                    last.setdefault(r, i)
+                solves.append((word, reg))
         out.append(Level(level.gen, tuple(reversed(solves)), level.checks))
-    return tuple(reversed(out))
-
-
-def _reads(level):
-    """The registers a level's steps read."""
-    reads = {reg for _, _, reg in level.checks}
-    for first, rest, _ in level.solves + level.checks:
-        reads.update(rest, (first,))
-    return reads
+    return tuple(reversed(out)), last
 
 
 # Words longer than this are multiplied in several statements, which keeps
@@ -305,17 +302,18 @@ def _reads(level):
 _CHUNK = 32
 
 
-def _level_source(level, later, identity, full):
-    """Source of one level's generator factory, and the factory's arguments.
+def _level_source(level, i, last, full):
+    """Source of level ``i``'s generator factory, and the factory's arguments.
 
-    later: the registers that later levels (or ``collect``) read.
+    last: the :func:`live_plan` map from each register to the last level
+        that reads it.  The level computes an inverse that it or a later
+        level reads, and stores a value that a later level reads.
 
     The source holds only fixed text and local names ``r0, r1, ...`` given
     in order of first use, so levels that differ only in their register
     numbers share one source.  The registers the level loads from ``val``
     and stores into it are the factory's arguments.
     """
-    reads = _reads(level)
     names, loads, rows, lines = {}, {}, {}, []
 
     def local(reg):
@@ -323,19 +321,18 @@ def _level_source(level, later, identity, full):
         return names[reg]
 
     def name(reg):
-        if reg == identity:
-            return "0"
         if reg not in names:
             loads[reg] = local(reg)
         return names[reg]
 
     def inverse(reg):
-        if reg + 1 in reads or reg + 1 in later:
+        if last.get(reg + 1, -1) >= i:
             lines.append(f"{local(reg + 1)} = inv[{names[reg]}]")
 
-    def product(first, rest):
-        if not rest:
-            return name(first)
+    def product(word):
+        if len(word) < 2:
+            return name(word[0]) if word else "0"
+        first = word[0]
         if first in loads or first not in names:
             # A loaded value is the same at every candidate: take its row
             # of the table once, on entry.
@@ -345,9 +342,9 @@ def _level_source(level, later, identity, full):
             row = rows[first]
         else:
             row = f"mul[{names[first]}]"
-        expr = f"{row}[{name(rest[0])}]"
-        for i, reg in enumerate(rest[1:], 1):
-            if i % _CHUNK == 0:
+        expr = f"{row}[{name(word[1])}]"
+        for k, reg in enumerate(word[2:], 1):
+            if k % _CHUNK == 0:
                 lines.append(f"t = {expr}")
                 expr = "t"
             expr = f"mul[{expr}][{name(reg)}]"
@@ -358,21 +355,21 @@ def _level_source(level, later, identity, full):
     else:
         loop = f"for {local(2 * level.gen)} in cands:"
         inverse(2 * level.gen)
-    for first, rest, reg in level.solves:
-        value = product(first, rest)
+    for word, reg in level.solves:
+        value = product(word)
         lines.append(f"{local(reg)} = {value}")
         if not full:
             lines.append(f"if not member[{names[reg]}]: continue")
         inverse(reg)
-    for first, rest, reg in level.checks:
-        lines.append(f"if {product(first, rest)} != {name(reg)}: continue")
-    stores = [reg for reg in names if reg in later and reg not in loads]
-    lines += [f"val[o{i}] = {names[reg]}" for i, reg in enumerate(stores)]
-    args = [f"i{i}" for i in range(len(loads))] + [f"o{i}" for i in range(len(stores))]
+    for word, reg in level.checks:
+        lines.append(f"if {product(word)} != {name(reg)}: continue")
+    stores = [reg for reg in names if reg not in loads and last.get(reg, -1) > i]
+    lines += [f"val[o{k}] = {names[reg]}" for k, reg in enumerate(stores)]
+    args = [f"i{k}" for k in range(len(loads))] + [f"o{k}" for k in range(len(stores))]
     source = "\n".join([
         f"def factory({', '.join(args)}):",
         "    def level(val, mul, inv, member, cands):",
-        *(f"        {names[reg]} = val[i{i}]" for i, reg in enumerate(loads)),
+        *(f"        {names[reg]} = val[i{k}]" for k, reg in enumerate(loads)),
         *(f"        {row} = mul[{names[reg]}]" for reg, row in rows.items()),
         f"        {loop}",
         *(f"            {line}" for line in lines),
@@ -397,13 +394,11 @@ def _level_functions(plan, full, collect):
     """
     key = (full, collect)
     if key not in plan.kernels:
-        read = set(range(0, 2 * plan.num_gens, 2)) if collect else set()
-        functions = []
-        for level in reversed(live_plan(plan, full, collect)):
-            source, args = _level_source(level, read, 2 * plan.num_gens, full)
-            functions.append(_factory(source)(*args))
-            read |= _reads(level)
-        plan.kernels[key] = tuple(reversed(functions))
+        levels, last = live_plan(plan, full, collect)
+        plan.kernels[key] = tuple(
+            _factory(source)(*args)
+            for source, args in (_level_source(level, i, last, full)
+                                 for i, level in enumerate(levels)))
     return plan.kernels[key]
 
 
@@ -430,27 +425,21 @@ def search_homs(plan, group, fixed, budget, collect):
     homs = [] if collect else None
     if not all(member[x] for x in fixed):
         return 0, homs, 0
-    for level, x in zip(functions, (0, *fixed)):
-        if not next(level(val, mul, inv, member, (x,)), False):
-            return 0, homs, 0
-    start = len(fixed) + 1
-    last = len(functions) - 1
-    if start > last:
-        if collect:
-            homs.append(tuple(val[::2]))
-        return 1, homs, 0
-
+    searched = len(fixed) + 1
+    cands = [(0,), *((x,) for x in fixed)]
+    cands += [elements] * (len(functions) - searched)
     size = len(elements)
+    last = len(functions) - 1
     its = [None] * len(functions)
-    depth = start
-    count = nodes = 0
-    while depth >= start:
+    depth = count = nodes = 0
+    while depth >= 0:
         it = its[depth]
         if it is None:
-            nodes += size
-            if nodes > budget:
-                raise BudgetExceededError(budget)
-            it = its[depth] = functions[depth](val, mul, inv, member, elements)
+            if depth >= searched:
+                nodes += size
+                if nodes > budget:
+                    raise BudgetExceededError(budget)
+            it = its[depth] = functions[depth](val, mul, inv, member, cands[depth])
         if depth < last and next(it, False):
             depth += 1
             continue

@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .labels import ALL_LABELS
+
 __all__ = [
     "Passage",
     "Crossing",
@@ -280,6 +282,9 @@ def from_braid(n_strands: int, moves) -> AnnularDiagram:
     for cid, (j, over_side, sign) in enumerate(moves, start=1):
         if not 1 <= j < n_strands:
             raise ValueError(f"braid position {j} out of range")
+        if over_side not in ("l", "r"):
+            raise ValueError(
+                f"braid move {cid}: over side {over_side!r} is not 'l' or 'r'")
         left, right = at[j - 1], at[j]
         over, under = (left, right) if over_side == "l" else (right, left)
         strands[over - 1].append((cid, OVER))
@@ -345,14 +350,12 @@ def builtin(name: str) -> AnnularDiagram:
     "epsN" the trivial N-strand block for 1 <= N <= MAX_EPS_STRANDS (1000);
     "dirac" the full-twist block.  A larger N raises ValueError.
     """
-    if name == "A":
-        return _builtin_a()
-    if name == "Ab":
-        return bar(_builtin_a())
-    if name == "As":
-        return star(_builtin_a())
-    if name == "Abs":
-        return bar(star(_builtin_a()))
+    label = next((lab for lab in ALL_LABELS if lab.name == name), None)
+    if label is not None:
+        d = _builtin_a()
+        if label.starred:
+            d = star(d)
+        return bar(d) if label.barred else d
     n = _canonical_int(name[3:]) if name.startswith("eps") else None
     if n is not None and n > MAX_EPS_STRANDS:
         raise ValueError(

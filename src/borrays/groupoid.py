@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import IntegrityError
-from .labels import ALL_LABELS, A, AB, ABS, AS, BlockLabel
+from .labels import ALL_LABELS, BlockLabel
 
 __all__ = [
     "DiffeoType",
@@ -133,18 +133,16 @@ def seed_types():
     Identities and the order-three rotation about the radial axis exist
     for every block; reflection across the diagram plane, inversion
     across the intermediate sphere, and the half-turn about the first
-    component's axis pair up the four blocks.
+    component's axis take each block ``b`` to ``b.bar()``, ``b.star()``
+    and ``b.barstar()``.
     """
     seeds = set()
     for b in ALL_LABELS:
         seeds.add(identity_type(b))
         seeds.add(DiffeoType(b, b, 1, 1, ROTATION))
-    seeds.add(DiffeoType(A, AB, -1, 1, IDENTITY_PERM))
-    seeds.add(DiffeoType(AS, ABS, -1, 1, IDENTITY_PERM))
-    seeds.add(DiffeoType(A, AS, -1, -1, IDENTITY_PERM))
-    seeds.add(DiffeoType(AB, ABS, -1, -1, IDENTITY_PERM))
-    seeds.add(DiffeoType(A, ABS, 1, 1, HALF_TURN))
-    seeds.add(DiffeoType(AB, AS, 1, 1, HALF_TURN))
+        seeds.add(DiffeoType(b, b.bar(), -1, 1, IDENTITY_PERM))
+        seeds.add(DiffeoType(b, b.star(), -1, -1, IDENTITY_PERM))
+        seeds.add(DiffeoType(b, b.barstar(), 1, 1, HALF_TURN))
     return seeds
 
 

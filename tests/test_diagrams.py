@@ -131,6 +131,8 @@ def test_from_braid_positions():
     assert d.strand(1) == (Passage(1, "o"), Passage(2, "u"))
     with pytest.raises(ValueError, match="out of range"):
         from_braid(2, [(2, "l", 1)])
+    with pytest.raises(ValueError, match="braid move 2: over side 'x'"):
+        from_braid(3, [(1, "l", 1), (1, "x", 1)])
 
 
 def test_json_roundtrip():

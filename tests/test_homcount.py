@@ -1,6 +1,7 @@
 """Homomorphism counting into symmetric groups: totals, classes, kernels."""
 
 import gc
+import hashlib
 import random
 import weakref
 
@@ -362,7 +363,7 @@ def test_brute_force_examples_place_the_solved_letter(case, n, solved):
     k, relators = case
     plan = _kernel.compile_plan(k, relators, range(k))
     gens = [reg // 2 for level in (plan.pre,) + plan.levels
-            for _, _, reg in level.solves]
+            for _, reg in level.solves]
     # In these cases a solved generator occurs once in exactly one relator.
     assert [(ri, pos, e)
             for g in gens
@@ -481,18 +482,27 @@ def test_live_plan_drops_dead_solves_only_in_sym_n_counts():
     plan = _compiled(p)
 
     def solved(level):
-        return [p.generators[reg // 2] for _, _, reg in level.solves]
+        return [p.generators[reg // 2] for _, reg in level.solves]
 
     # Only z1 and y1 feed the check x1 y1 z1.
-    last = _kernel.live_plan(plan, full=True, collect=False)[-1]
+    last = _kernel.live_plan(plan, full=True, collect=False)[0][-1]
     assert solved(last) == ["z1", "y1"]
     assert last.checks == plan.levels[-1].checks and len(last.checks) == 1
     # In a centralizer each solve keeps its membership check, and a
     # collected hom needs every image.
     for full, collect in ((False, False), (False, True), (True, True)):
-        last = _kernel.live_plan(plan, full, collect)[-1]
+        last = _kernel.live_plan(plan, full, collect)[0][-1]
         assert solved(last) == ["z3", "z1", "y1", "x3"]
         assert last.checks == plan.levels[-1].checks
+    # The levels are the pre-cascade (0), x2, y2 and z2 (3).  y2's inverse
+    # is read last at y2's own level unless the z3 solve stays, and a
+    # collected image counts as read after every level.
+    y2_inv, x3 = 2 * p.generators.index("y2") + 1, 2 * p.generators.index("x3")
+    for full, collect, want in ((True, False, (2, -1)), (False, False, (3, -1)),
+                                (True, True, (3, 4))):
+        levels, last = _kernel.live_plan(plan, full, collect)
+        assert len(levels) == 4
+        assert (last[y2_inv], last.get(x3, -1)) == want
 
 
 def test_generator_names_stay_out_of_generated_code():
@@ -555,6 +565,77 @@ def test_deep_plans_need_no_recursion():
     count, _, nodes = _kernel.search_homs(
         plan, _kernel.symmetric_group(1), (), DEFAULT_BUDGET, False)
     assert (count, nodes) == (1, 1500)
+
+
+def test_generated_level_code_is_pinned(monkeypatch):
+    # Every (source, args) pair the kernel generates for these plans, per
+    # mode, the pre-cascade first.  A kernel refactor that keeps this
+    # digest runs the same code on the same registers.
+    words = [["A"], ["A", "A"], ["A", "Ab"], ["A", "As"], ["A", "Abs"],
+             ["eps3"], ["dirac"]]
+    rng = random.Random(5)
+    for length in (12, 48, 78, 1000):
+        words.append([rng.choice(("A", "Ab", "As", "Abs", "dirac", "eps3"))
+                      for _ in range(length)])
+    factory, pairs = _kernel._factory, []
+
+    def recording(source):
+        def build(*args):
+            pairs.append((source, list(args)))
+            return factory(source)(*args)
+        return build
+
+    monkeypatch.setattr(_kernel, "_factory", recording)
+    for word in words:
+        blocks = [builtin(b) for b in word]
+        plan = _compiled(presentation(
+            concat(*blocks) if len(blocks) > 1 else blocks[0]))
+        for full in (True, False):
+            for collect in (True, False):
+                _kernel._level_functions(plan, full, collect)
+    assert len(pairs) == 3296
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
+        "0c71c3cff1b806d176812cc8dabfcfcf4fc349ad856de7f3c5aa591ff5939d62")
+
+
+def _sym3_search(collect):
+    """search_homs into Sym(3), and the homs it returns given the list."""
+    sym3 = _kernel.symmetric_group(3)
+
+    def search(plan, fixed):
+        return _kernel.search_homs(plan, sym3, fixed, DEFAULT_BUDGET, collect)
+
+    return search, lambda homs: homs if collect else None
+
+
+@pytest.mark.parametrize("collect", [True, False])
+def test_search_runs_plans_without_searched_levels(collect):
+    # Sym(3) lists its elements in sorted order: 1 is (0 2 1), 2 is
+    # (1 0 2), 3 is (1 2 0).  No searched level is entered, so no node
+    # is counted.
+    search, homs = _sym3_search(collect)
+    # a = 1 is solved in the pre-cascade; the plan has no level at all.
+    plan = _kernel.compile_plan(1, (((0, 1),),), "a")
+    assert plan.levels == ()
+    assert search(plan, ()) == (1, homs([(0,)]), 0)
+    # eps3's x1 y1 z1 = 1 with both levels fixed solves z1 = (x1 y1)^-1.
+    plan = _compiled(presentation(builtin("eps3")))
+    assert len(plan.levels) == 2
+    assert search(plan, (1, 2)) == (1, homs([(1, 2, 3)]), 0)
+
+
+@pytest.mark.parametrize("collect", [True, False])
+def test_search_stops_at_a_fixed_level_whose_check_fails(collect):
+    # a a = 1 is checked at a's level, which comes first; b is searched.
+    search, homs = _sym3_search(collect)
+    plan = _kernel.compile_plan(2, (((0, 1), (0, 1)),), "ab")
+    assert [level.gen for level in plan.levels] == [0, 1]
+    # The transposition 1 passes, and b then ranges over all six elements.
+    assert search(plan, (1,)) == (6, homs([(1, b) for b in range(6)]), 6)
+    assert search(plan, (0, 1)) == (1, homs([(0, 1)]), 0)
+    # The 3-cycle 3 fails, with or without a fixed level after it.
+    assert search(plan, (3,)) == (0, homs([]), 0)
+    assert search(plan, (3, 1)) == (0, homs([]), 0)
 
 
 def test_search_tree_is_pinned():
