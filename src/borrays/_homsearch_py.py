@@ -407,8 +407,8 @@ def search_homs(plan, group, fixed, budget, collect):
 
     plan: a :func:`compile_plan` result.
     group: a :class:`Group`; every generator ranges over its elements.
-    fixed: element indices for the plan's first ``len(fixed)`` levels,
-        which are not branched and count no nodes.
+    fixed: elements of ``group`` (indices) for the plan's first
+        ``len(fixed)`` levels, which are not branched and count no nodes.
     budget: cap on candidate assignments tried (nodes).  A searched
         level always tries every element of the group, so it adds them
         all to the nodes when entered and raises BudgetExceededError once
@@ -423,8 +423,6 @@ def search_homs(plan, group, fixed, budget, collect):
     functions = _level_functions(plan, len(elements) == len(group.perms), collect)
     val = [0] * (2 * plan.num_gens)
     homs = [] if collect else None
-    if not all(member[x] for x in fixed):
-        return 0, homs, 0
     searched = len(fixed) + 1
     cands = [(0,), *((x,) for x in fixed)]
     cands += [elements] * (len(functions) - searched)

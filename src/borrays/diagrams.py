@@ -6,11 +6,12 @@ one, together with the cyclic order of strand endpoints on each boundary.
 The model is purely combinatorial: no planar embedding is stored or checked
 beyond the structural invariants enforced by :func:`validate`.
 
-Crossing sign convention: sign +1 means the under-strand crosses
-right-to-left beneath the over-strand when looking along the over-strand's
-orientation.  This is the convention under which the builtin ``A`` diagram
-yields its standard presentation (see :mod:`borrays.presentations`), with
-the under-arc conjugated as ``out = over^-1 * in * over`` at a +1 crossing.
+Crossing sign convention: a sign is the int 1 or -1 (JSON ``true`` and
+``1.0`` are refused), and +1 means the under-strand crosses right-to-left
+beneath the over-strand when looking along the over-strand's orientation.
+This is the convention under which the builtin ``A`` diagram yields its
+standard presentation (see :mod:`borrays.presentations`), with the
+under-arc conjugated as ``out = over^-1 * in * over`` at a +1 crossing.
 """
 
 import json
@@ -96,6 +97,10 @@ def _mk(n_strands, strands, signs, inner_order, outer_order) -> AnnularDiagram:
     )
 
 
+def is_sign(x):
+    return type(x) is int and x in (1, -1)
+
+
 def _brief(value):
     """``repr(value)`` if short, else its type and size: a bad value read
     from a file may be huge, and its message stays one short line."""
@@ -148,7 +153,7 @@ def validate(d: AnnularDiagram):
                 )
             seen.setdefault(p.crossing, []).append(p.role)
     for c, sign in d.signs.items():
-        if sign not in (1, -1):
+        if not is_sign(sign):
             out.append(Violation(
                 "bad-sign", f"crossing {_brief(c)} has sign {_brief(sign)}"))
         roles = sorted(seen.get(c, []))
@@ -280,7 +285,7 @@ def from_braid(n_strands: int, moves) -> AnnularDiagram:
     strands = [[] for _ in range(n_strands)]
     signs = {}
     for cid, (j, over_side, sign) in enumerate(moves, start=1):
-        if not 1 <= j < n_strands:
+        if type(j) is not int or not 1 <= j < n_strands:
             raise ValueError(f"braid position {j} out of range")
         if over_side not in ("l", "r"):
             raise ValueError(
@@ -424,7 +429,7 @@ def from_json(text: str) -> AnnularDiagram:
             for s in _typed(obj["strands"], list, "strands")
         ]
         signs = {
-            _sign_key(c): _typed(s, int, "sign")
+            _sign_key(c): s
             for c, s in _typed(obj["signs"], dict, "signs").items()
         }
         orders = [

@@ -17,6 +17,7 @@ is its codomain.
 from dataclasses import dataclass
 from itertools import permutations
 
+from .diagrams import is_sign
 from .errors import IntegrityError
 from .labels import ALL_LABELS, BlockLabel
 
@@ -75,9 +76,9 @@ class DiffeoType:
     perm: tuple
 
     def __post_init__(self):
-        if self.orientation not in (1, -1):
+        if not is_sign(self.orientation):
             raise ValueError(f"orientation must be +-1, got {self.orientation}")
-        if self.boundary not in (1, -1):
+        if not is_sign(self.boundary):
             raise ValueError(f"boundary must be +-1, got {self.boundary}")
         if self.perm not in ALL_PERMS:
             raise ValueError(f"perm must be an image tuple on 1..3, got {self.perm}")

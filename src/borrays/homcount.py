@@ -117,6 +117,8 @@ def _compiled(p: FinitePresentation):
 
 
 def _check_degree(n, enumerating=False):
+    if type(n) is not int:
+        raise ValueError(f"degree {n!r} is not an int")
     if n < 0:
         raise ValueError(f"degree {n} is negative; Sym(n) needs n >= 0")
     if n > MAX_DEGREE:

@@ -18,7 +18,7 @@ from heapq import heappop, heappush
 from math import gcd
 from operator import itemgetter
 
-from .diagrams import UNDER, AnnularDiagram, _require_valid
+from .diagrams import UNDER, AnnularDiagram, _require_valid, is_sign
 
 __all__ = [
     "FinitePresentation",
@@ -56,7 +56,8 @@ class FinitePresentation:
     """Generators and freely reduced relator words.
 
     A relator is a tuple of letters ``(generator, +-1)``.  Generator
-    names are distinct.
+    names are distinct.  The constructor checks both, while ``presentation``
+    and ``tietze_simplify`` build from checked parts without checking.
     """
 
     generators: tuple
@@ -71,8 +72,15 @@ class FinitePresentation:
             for g, e in rel:
                 if g not in declared:
                     raise ValueError(f"relator uses undeclared generator {g!r}")
-                if e not in (1, -1):
+                if not is_sign(e):
                     raise ValueError(f"bad exponent {e} on {g!r}")
+
+
+def _from_checked(generators, relators):
+    """A FinitePresentation whose names and letters are known to be valid."""
+    p = object.__new__(FinitePresentation)
+    p.__dict__.update(generators=generators, relators=relators)
+    return p
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,7 @@ def presentation(d: AnnularDiagram, include_outer_vertex: bool = False) -> Finit
     relators.append(vertex(d.inner_order, lambda k: 1))
     if include_outer_vertex:
         relators.append(vertex(d.outer_order, lambda k: n_arcs[k]))
-    return FinitePresentation(tuple(gens), tuple(relators))
+    return _from_checked(tuple(gens), tuple(relators))
 
 
 # Tietze elimination can grow a presentation exponentially: (A Ab As Abs)^2
@@ -310,7 +318,7 @@ def tietze_simplify(p: FinitePresentation) -> FinitePresentation:
                 del words[rid], version[rid]
         del occ[g]
     gens = tuple(g for g in p.generators if g not in eliminated)
-    return FinitePresentation(gens, tuple(words.values()))
+    return _from_checked(gens, tuple(words.values()))
 
 
 def _nearest_quotient(a, p):

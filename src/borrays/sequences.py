@@ -233,8 +233,6 @@ def parse_sequence(text: str) -> EventuallyPeriodicSeq:
     if not per_part.lower().startswith("per:"):
         raise ValueError(f"expected 'per: <labels>', got {per_part!r}")
     period = tuple(parse_label(w) for w in per_part[4:].split())
-    if not period:
-        raise ValueError("period must contain at least one label")
     return EventuallyPeriodicSeq(pre, period)
 
 

@@ -281,6 +281,17 @@ def test_present_noncanonical_sign_key_is_a_user_error(capsys, tmp_path, key):
                    "a canonical integer\n")
 
 
+def test_json_boolean_sign_is_a_user_error(capsys, tmp_path):
+    obj = json.loads(diagrams.to_json(diagrams.builtin("A")))
+    obj["signs"]["1"] = True
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "present", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid diagram: crossing 1 has sign True\n"
+
+
 def test_present_simplify_blow_up_is_a_user_error(capsys):
     # Three copies of A Ab As Abs would simplify past the letter cap.
     word = " ".join(["A", "Ab", "As", "Abs"] * 3)

@@ -23,6 +23,7 @@ from borrays.diagrams import (
     to_json,
     validate,
 )
+from borrays.presentations import presentation
 
 
 def test_builtin_names():
@@ -70,6 +71,20 @@ def test_validate_reports_violations():
     # duplicated boundary position
     d = diagrams._mk(2, [[], []], {}, (1, 1), (1, 2))
     assert "duplicate-boundary" in {v.kind for v in validate(d)}
+
+
+# A sign is the int 1 or -1: True and 1.0 compare equal to 1 but are not.
+@pytest.mark.parametrize("sign", [True, 1.0])
+def test_validate_refuses_a_sign_that_is_not_an_int(sign):
+    d = diagrams._mk(2, [[(1, "o")], [(1, "u")]], {1: sign}, (1, 2), (1, 2))
+    assert [v.kind for v in validate(d)] == ["bad-sign"]
+
+
+def test_from_braid_with_a_boolean_sign_is_invalid():
+    d = from_braid(3, [(1, "l", True)])
+    assert [v.kind for v in validate(d)] == ["bad-sign"]
+    with pytest.raises(ValueError, match="crossing 1 has sign True"):
+        presentation(d)
 
 
 def test_concat_requires_matching_boundaries():
@@ -133,6 +148,9 @@ def test_from_braid_positions():
         from_braid(2, [(2, "l", 1)])
     with pytest.raises(ValueError, match="braid move 2: over side 'x'"):
         from_braid(3, [(1, "l", 1), (1, "x", 1)])
+    for j in (1.0, True):
+        with pytest.raises(ValueError, match="out of range"):
+            from_braid(3, [(j, "l", 1)])
 
 
 def test_json_roundtrip():

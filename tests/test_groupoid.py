@@ -140,6 +140,13 @@ def test_excluded_closed_under_inverse_and_realized_composition(
                     assert comp in excluded
 
 
+def test_boolean_characters_are_refused():
+    with pytest.raises(ValueError, match="orientation"):
+        DiffeoType(A, A, True, 1, (1, 2, 3))
+    with pytest.raises(ValueError, match="boundary"):
+        DiffeoType(A, A, 1, True, (1, 2, 3))
+
+
 def test_excluded_closure_detects_overlap():
     bogus = realized_closure() | {DiffeoType(A, AB, 1, 1, (1, 2, 3))}
     with pytest.raises(IntegrityError):

@@ -228,6 +228,15 @@ def test_negative_degree_is_refused():
         assert (r.total_homs, r.class_count) == (1, 1)
 
 
+@pytest.mark.parametrize("n", [2.0, True])
+def test_degree_that_is_not_an_int_is_refused(n):
+    p = presentation(builtin("A"))
+    for count in (count_total, enumerate_homs, count_classes_enumerate,
+                  count_classes_burnside):
+        with pytest.raises(ValueError, match=f"degree {n!r} is not an int"):
+            count(p, n)
+
+
 def test_enumeration_refuses_sym7():
     p = presentation(builtin("eps3"))
     assert MAX_ENUMERATE_DEGREE == MAX_DEGREE - 1

@@ -1,5 +1,6 @@
 """Wirtinger-style presentations, Tietze simplification, abelianization."""
 
+import hashlib
 import importlib.util
 import random
 import time
@@ -133,6 +134,12 @@ def test_undeclared_generator_rejected():
         FinitePresentation(("a",), ((("a", 2),),))
 
 
+@pytest.mark.parametrize("e", [True, 1.0])
+def test_exponent_that_is_not_an_int_is_refused(e):
+    with pytest.raises(ValueError, match="exponent"):
+        FinitePresentation(("a",), ((("a", e),),))
+
+
 def test_tietze_preserves_abelianization_on_a():
     p = presentation(builtin("A"))
     q = tietze_simplify(p)
@@ -146,7 +153,10 @@ def test_tietze_preserves_abelianization_on_a():
 @example(FinitePresentation(("x1", "y1", "z1"), (
     (("y1", 1), ("x1", 1), ("y1", 1)), (("z1", 1), ("x1", -1), ("z1", 1)))))
 def test_tietze_matches_rescan_oracle(p):
-    assert tietze_simplify(p) == helpers.tietze_rescan_oracle(p)
+    q = tietze_simplify(p)
+    assert q == helpers.tietze_rescan_oracle(p)
+    # The output skips the constructor's checks; they would pass.
+    assert FinitePresentation(q.generators, q.relators) == q
 
 
 def _benchmark_simplify_words():
@@ -171,13 +181,17 @@ def test_tietze_matches_rescan_oracle_on_benchmark_words():
     assert "A Ab As Abs A Ab As Abs" in words and len(words) > 10
     for word in words:
         p = presentation(concat(*map(builtin, word.split())))
-        assert tietze_simplify(p) == helpers.tietze_rescan_oracle(p), word
+        q = tietze_simplify(p)
+        assert q == helpers.tietze_rescan_oracle(p), word
+        assert FinitePresentation(q.generators, q.relators) == q, word
 
 
 def test_tietze_output_of_two_prefix_copies_is_pinned():
     q = tietze_simplify(presentation(concat(*map(builtin, ["A", "Ab", "As", "Abs"] * 2))))
     assert (len(q.generators), len(q.relators)) == (11, 9)
     assert sum(map(len, q.relators)) == 170_293
+    assert hashlib.sha256(format_presentation(q).encode()).hexdigest() == (
+        "4d90d99ae9bf9a061404747d53ac6806b248577ce1574455313ac0b7e699d451")
 
 
 def test_abelianizations():
@@ -277,6 +291,8 @@ def test_braid_complements_are_free(d):
     from borrays.homcount import count_total
 
     p = presentation(d)
+    # presentation skips the constructor's checks; they would pass.
+    assert FinitePresentation(p.generators, p.relators) == p
     q = tietze_simplify(p)
     rank = d.n_strands - 1
     assert abelianization(p) == AbelianInvariants(rank, ())
