@@ -236,8 +236,8 @@ def concat(first: AnnularDiagram, second: AnnularDiagram,
 
 def forget(d: AnnularDiagram, k: int) -> AnnularDiagram:
     """Remove strand k (1-based) and every crossing it participates in."""
-    if not 1 <= k <= d.n_strands:
-        raise ValueError(f"strand index {k} out of range 1..{d.n_strands}")
+    if type(k) is not int or not 1 <= k <= d.n_strands:
+        raise ValueError(f"strand index {_brief(k)} out of range 1..{d.n_strands}")
     if d.n_strands < 2:
         raise ValueError("cannot forget the only strand")
     dead = {p.crossing for p in d.strands[k - 1]}
@@ -281,6 +281,8 @@ def from_braid(n_strands: int, moves) -> AnnularDiagram:
     ``over_side`` ("l" or "r") passing over, then swap positions.  Strand i
     starts at inner position i.
     """
+    if type(n_strands) is not int:
+        raise ValueError(f"braid strand count {_brief(n_strands)} is not an int")
     at = list(range(1, n_strands + 1))  # position -> strand
     strands = [[] for _ in range(n_strands)]
     signs = {}

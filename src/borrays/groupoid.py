@@ -6,12 +6,12 @@ character (+-1), and the induced permutation of the three tangle
 components.  There are 4*4*2*2*6 = 384 candidate types.  The types of
 explicitly known diffeomorphisms (identities, the order-three rotation,
 the two reflections, the inversion, and the half-turn) and their
-inverses are 24 generators.  Closing them under composition yields the
-96 realizable types; the remaining 288 are excluded by a complementary
-closure seeded with the types ruled out by homomorphism counts.  Both
-closures follow one rule: a worklist that adds each new type's inverse
-and its compositions on the left with the six generators whose domain
-is its codomain.
+inverses are 24 generators.  The groupoid they generate holds the 96
+realizable types; the remaining 288 are excluded, as the closure of the
+types ruled out by homomorphism counts.  Both closures work on codes,
+the 5-tuples with blocks and perms as indices into ALL_LABELS (0 is A)
+and ALL_PERMS, inside the group of types from A to A, and spread along
+a spanning tree of seeds; a ``DiffeoType`` is built per type returned.
 """
 
 from dataclasses import dataclass
@@ -49,20 +49,18 @@ C3 = frozenset({(2, 1, 3), (1, 3, 2), (3, 2, 1)})
 #: How a cell of the realized grid is printed: blank, "A3" or "C".
 CELL_NAMES = {frozenset(): "", A3: "A3", C3: "C"}
 
-ROTATION = (2, 3, 1)       # 1 -> 2 -> 3 -> 1
-HALF_TURN = (1, 3, 2)      # swaps components 2 and 3
-
 
 def _perm_compose(p, q):
     """(p o q)(i) = p(q(i)), permutations acting on {1, 2, 3}."""
     return tuple(p[q[i] - 1] for i in range(3))
 
 
-def _perm_inverse(p):
-    out = [0, 0, 0]
-    for i, x in enumerate(p):
-        out[x - 1] = i + 1
-    return tuple(out)
+_ID = ALL_PERMS.index(IDENTITY_PERM)
+_ROTATION = ALL_PERMS.index((2, 3, 1))      # 1 -> 2 -> 3 -> 1
+_HALF_TURN = ALL_PERMS.index((1, 3, 2))     # swaps components 2 and 3
+_PRODUCT = [[ALL_PERMS.index(_perm_compose(p, q)) for q in ALL_PERMS]
+            for p in ALL_PERMS]
+_INVERSE = [row.index(_ID) for row in _PRODUCT]
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,20 @@ class DiffeoType:
                 f"{'+1' if self.boundary > 0 else '-1'}, {self.perm})")
 
 
+def _compose(s, t):
+    """Code of s after t; t's codomain must be s's domain."""
+    return (t[0], s[1], t[2] * s[2], t[3] * s[3], _PRODUCT[s[4]][t[4]])
+
+
+def _invert(t):
+    return (t[1], t[0], t[2], t[3], _INVERSE[t[4]])
+
+
+def _decode(t):
+    d, c, e, b, p = t
+    return DiffeoType(ALL_LABELS[d], ALL_LABELS[c], e, b, ALL_PERMS[p])
+
+
 def all_types():
     """The full set of 384 candidate types."""
     return {
@@ -104,7 +116,7 @@ def all_types():
 def type_inverse(t: DiffeoType) -> DiffeoType:
     """Swap domain and codomain and invert the permutation."""
     return DiffeoType(t.codomain, t.domain, t.orientation, t.boundary,
-                      _perm_inverse(t.perm))
+                      ALL_PERMS[_INVERSE[ALL_PERMS.index(t.perm)]])
 
 
 def type_compose(beta: DiffeoType, alpha: DiffeoType):
@@ -137,54 +149,51 @@ def seed_types():
     component's axis take each block ``b`` to ``b.bar()``, ``b.star()``
     and ``b.barstar()``.
     """
-    seeds = set()
-    for b in ALL_LABELS:
-        seeds.add(identity_type(b))
-        seeds.add(DiffeoType(b, b, 1, 1, ROTATION))
-        seeds.add(DiffeoType(b, b.bar(), -1, 1, IDENTITY_PERM))
-        seeds.add(DiffeoType(b, b.star(), -1, -1, IDENTITY_PERM))
-        seeds.add(DiffeoType(b, b.barstar(), 1, 1, HALF_TURN))
-    return seeds
+    return {_decode(t) for t in _seed_codes()}
 
 
-def _generators():
-    """The seed types and their inverses: 24 types."""
-    seeds = seed_types()
-    return seeds | {type_inverse(t) for t in seeds}
+def _seed_codes():
+    for i, b in enumerate(ALL_LABELS):
+        yield from [(i, i, 1, 1, _ID), (i, i, 1, 1, _ROTATION),
+                    (i, ALL_LABELS.index(b.bar()), -1, 1, _ID),
+                    (i, ALL_LABELS.index(b.star()), -1, -1, _ID),
+                    (i, ALL_LABELS.index(b.barstar()), 1, 1, _HALF_TURN)]
 
 
-def _closure(start):
-    """The smallest superset of ``start`` closed under inverse and under
-    composition on the left with a generator.
-
-    Generators are indexed by domain, so every composition formed is
-    defined; each type is expanded once, when it is first added.  From
-    the generators, which are closed under inverse, this gives exactly
-    the composable words in them.  From any start it is also the closure
-    under inverse and under composition with every realized type on
-    either side: a realized r is a word g_k o ... o g_1, so r o t is k
-    left steps from t, and t o r = (r^-1 o t^-1)^-1 is an inverse, the
-    left steps of r^-1, and an inverse again.
-    """
-    by_domain = {b: [] for b in ALL_LABELS}
-    for g in _generators():
-        by_domain[g.domain].append(g)
-    found = set(start)
-    todo = list(found)
+def _two_sided(start):
+    """Decoded r o s o r' and r o s^-1 o r', s in the codes ``start``, r
+    and r' realized: h[c] o V m V o h[d]^-1 (see the closures)."""
+    seeds = list(_seed_codes())
+    tree = {t[1]: t for t in seeds if t[0] == 0 and t[4] != _ROTATION}
+    back = {c: _invert(h) for c, h in tree.items()}
+    loops = {_compose(back[g[1]], _compose(g, tree[g[0]]))
+             for s in seeds for g in (s, _invert(s))}
+    group = {tree[0]}
+    todo = [tree[0]]
     while todo:
         t = todo.pop()
-        for u in [type_inverse(t), *(type_compose(g, t)
-                                     for g in by_domain[t.codomain])]:
-            if u not in found:
-                found.add(u)
+        for u in [_compose(g, t) for g in loops]:
+            if u not in group:
+                group.add(u)
                 todo.append(u)
-    return found
+    left = {_compose(v, _compose(back[g[1]], _compose(g, tree[g[0]])))
+            for s in start for g in (s, _invert(s)) for v in group}
+    cosets = {_compose(t, v) for t in left for v in group}
+    return {_decode(_compose(tree[c], _compose(x, back[d])))
+            for x in cosets for c in tree for d in tree}
 
 
 def realized_closure():
-    """The groupoid generated by the seed types; 96 types: the closure
-    of the 24 generators."""
-    return _closure(_generators())
+    """The groupoid generated by the seed types; 96 types.
+
+    Take the spanning tree h[A] = identity, h[c] = the seed from A to c
+    for c != A.  A word g_k o ... o g_1 in the generators, g_i: d_(i-1)
+    -> d_i, is h[d_k] o l_k o ... o l_1 o h[d_0]^-1 with Schreier loops
+    l_i = h[d_i]^-1 o g_i o h[d_(i-1)].  So the types from d to c are the
+    words h[c] o V o h[d]^-1, V the 6 products of loops (a finite group):
+    16 * 6 = 96.  The loops are the seeds moved to A (see ``_two_sided``).
+    """
+    return _two_sided(_seed_codes())
 
 
 def excluded_closure(realized):
@@ -204,14 +213,15 @@ def excluded_closure(realized):
     If two of alpha, beta, beta o alpha are realized, so is the third;
     hence composing an excluded type with a realized one, on either
     side, is excluded, and the inverse of an excluded type is excluded.
-    The closure of the seeds is that set (see ``_closure``).
+    So the closure of the seeds is the set of r o s^+-1 o r', s a seed
+    and r, r' realized: from d to c, h[c] o X o h[d]^-1, with X the union
+    of the double cosets V m V and V m^-1 V of the seeds moved to A, m =
+    h[B2]^-1 o s o h[B1].  X holds 18 types, so there are 16 * 18 = 288.
 
     Raises IntegrityError if the result meets ``realized``.
     """
-    excluded = _closure(
-        DiffeoType(b1, b2, 1, 1, IDENTITY_PERM)
-        for b1 in ALL_LABELS for b2 in ALL_LABELS if b1 != b2
-    )
+    excluded = _two_sided((b1, b2, 1, 1, _ID)
+                          for b1 in range(4) for b2 in range(4) if b1 != b2)
     overlap = excluded & set(realized)
     if overlap:
         raise IntegrityError(

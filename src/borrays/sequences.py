@@ -87,8 +87,8 @@ class EquivalenceReport:
 
 def value_at(s: EventuallyPeriodicSeq, i: int) -> BlockLabel:
     """The i-th block, 1-based."""
-    if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
+    if type(i) is not int or i < 1:
+        raise ValueError(f"index must be an int >= 1, got {i!r}")
     if i <= len(s.preperiod):
         return s.preperiod[i - 1]
     return s.period[(i - len(s.preperiod) - 1) % len(s.period)]

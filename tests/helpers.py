@@ -6,6 +6,7 @@ from math import gcd, lcm
 from hypothesis import strategies as st
 
 from borrays import diagrams
+from borrays.groupoid import seed_types, type_compose, type_inverse
 from borrays.labels import ALL_LABELS
 from borrays.presentations import (
     FinitePresentation,
@@ -304,6 +305,40 @@ def tietze_rescan_oracle(p):
                 new_relators.append(reduced)
         relators = new_relators
     return FinitePresentation(tuple(gens), tuple(relators))
+
+
+def groupoid_generators():
+    """The seed types and their inverses: 24 types."""
+    seeds = seed_types()
+    return seeds | {type_inverse(t) for t in seeds}
+
+
+def groupoid_closure_oracle(start):
+    """The smallest superset of ``start`` closed under inverse and under
+    composition on the left with a generator, by a worklist of types.
+
+    Generators are indexed by domain, so every composition formed is
+    defined, which is asserted.  From the generators this gives the
+    composable words in them.  From any start it is also the closure
+    under inverse and under composition with every realized type on
+    either side: a realized r is a word g_k o ... o g_1, so r o t is k
+    left steps from t, and t o r = (r^-1 o t^-1)^-1 is an inverse, the
+    left steps of r^-1, and an inverse again.
+    """
+    by_domain = {b: [] for b in ALL_LABELS}
+    for g in groupoid_generators():
+        by_domain[g.domain].append(g)
+    found = set(start)
+    todo = list(found)
+    while todo:
+        t = todo.pop()
+        for u in [type_inverse(t), *(type_compose(g, t)
+                                     for g in by_domain[t.codomain])]:
+            assert u is not None
+            if u not in found:
+                found.add(u)
+                todo.append(u)
+    return found
 
 
 # ---------------------------------------------------------------------------

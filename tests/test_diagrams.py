@@ -153,6 +153,18 @@ def test_from_braid_positions():
             from_braid(3, [(j, "l", 1)])
 
 
+@pytest.mark.parametrize("n", [3.0, True, "3"])
+def test_from_braid_refuses_a_strand_count_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match="strand count .* is not an int"):
+        from_braid(n, [])
+
+
+@pytest.mark.parametrize("k", [1.0, True, "1"])
+def test_forget_refuses_a_strand_index_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match="strand index .* out of range"):
+        forget(builtin("A"), k)
+
+
 def test_json_roundtrip():
     for name in ("A", "eps3", "dirac"):
         d = builtin(name)

@@ -1,11 +1,14 @@
-"""The one closure rule: inverse and left composition with a generator."""
+"""The 96/288 closures against brute force, their structure and outputs."""
 
 import hashlib
 
 import pytest
 
-from borrays import cli, groupoid
+import helpers
+from borrays import cli
 from borrays.groupoid import (
+    A3,
+    C3,
     IDENTITY_PERM,
     DiffeoType,
     excluded_closure,
@@ -13,7 +16,7 @@ from borrays.groupoid import (
     type_compose,
     type_inverse,
 )
-from borrays.labels import ALL_LABELS
+from borrays.labels import A, ALL_LABELS
 
 
 def test_excluded_is_the_two_sided_closure_under_realized():
@@ -35,19 +38,31 @@ def test_excluded_is_the_two_sided_closure_under_realized():
     assert found == excluded_closure(realized)
 
 
-def test_every_closure_composition_is_defined(monkeypatch):
-    results = []
+def test_closures_equal_the_worklist_oracle():
+    realized = realized_closure()
+    assert realized == helpers.groupoid_closure_oracle(
+        helpers.groupoid_generators())
+    seeds = {DiffeoType(b1, b2, 1, 1, IDENTITY_PERM)
+             for b1 in ALL_LABELS for b2 in ALL_LABELS if b1 != b2}
+    assert excluded_closure(realized) == helpers.groupoid_closure_oracle(seeds)
 
-    def compose(beta, alpha):
-        results.append(type_compose(beta, alpha))
-        return results[-1]
 
-    monkeypatch.setattr(groupoid, "type_compose", compose)
-    excluded_closure(realized_closure())
-    # 96 realized and 288 excluded types, each composed with the six
-    # generators whose domain is its codomain.
-    assert len(results) == (96 + 288) * 6
-    assert None not in results
+def test_every_hom_set_holds_6_realized_and_18_excluded_types():
+    realized = realized_closure()
+    excluded = excluded_closure(realized)
+    for d in ALL_LABELS:
+        for c in ALL_LABELS:
+            assert sum(t.domain == d and t.codomain == c for t in realized) == 6
+            assert sum(t.domain == d and t.codomain == c for t in excluded) == 18
+
+
+def test_realized_self_maps_of_a_are_a_copy_of_s3():
+    at_a = {t for t in realized_closure() if t.domain == t.codomain == A}
+    assert {(t.orientation, t.boundary, t.perm) for t in at_a} == (
+        {(1, 1, p) for p in A3} | {(1, -1, p) for p in C3})
+    # A group, on which the perm is a bijection onto Sym(3) that respects
+    # composition: a copy of S3.
+    assert {type_compose(s, t) for s in at_a for t in at_a} == at_a
 
 
 # SHA-256 of the four groupoid outputs: list order and JSON key order

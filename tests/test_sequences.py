@@ -35,6 +35,12 @@ def test_value_at():
         value_at(s, 0)
 
 
+@pytest.mark.parametrize("i", [2.0, True, "2"])
+def test_value_at_refuses_an_index_that_is_not_an_int(i):
+    with pytest.raises(ValueError, match="index must be an int"):
+        value_at(seq(pre=[AB], per=[A, AS]), i)
+
+
 def test_period_must_be_nonempty():
     with pytest.raises(ValueError):
         seq(per=[])
