@@ -33,6 +33,7 @@ __all__ = [
     "concat",
     "forget",
     "validate",
+    "is_sign",
     "normalize",
     "from_braid",
     "to_json",

@@ -31,6 +31,7 @@ __all__ = [
     "all_types",
     "type_inverse",
     "type_compose",
+    "identity_type",
     "seed_types",
     "realized_closure",
     "excluded_closure",
@@ -74,6 +75,9 @@ class DiffeoType:
     perm: tuple
 
     def __post_init__(self):
+        for block in (self.domain, self.codomain):
+            if not isinstance(block, BlockLabel):
+                raise ValueError(f"a block must be a BlockLabel, got {block!r}")
         if not is_sign(self.orientation):
             raise ValueError(f"orientation must be +-1, got {self.orientation}")
         if not is_sign(self.boundary):

@@ -138,6 +138,8 @@ class _Budget:
     """One node counter shared by every kernel call of a count."""
 
     def __init__(self, limit: int):
+        if type(limit) is not int or limit < 0:
+            raise ValueError(f"budget {limit!r} is not a non-negative int")
         self.limit = limit
         self.spent = 0
 

@@ -53,7 +53,7 @@ def strand_letter(k: int) -> str:
 
 @dataclass(frozen=True)
 class FinitePresentation:
-    """Generators and freely reduced relator words.
+    """Generators and relator words, not necessarily freely reduced.
 
     A relator is a tuple of letters ``(generator, +-1)``.  Generator
     names are distinct.  The constructor checks both, while ``presentation``
@@ -122,72 +122,44 @@ def invert_word(word):
     return tuple((g, -e) for g, e in reversed(word))
 
 
-def _arcs(strand):
-    """Split a passage list into arcs at its under-passages.
-
-    Returns (number of arcs, arc index of each passage position 0-based,
-    list of (under passage position, arc before, arc after)).
-    """
-    arc = 1
-    arc_of = []
-    unders = []
-    for pos, p in enumerate(strand):
-        if p.role == UNDER:
-            unders.append((pos, arc, arc + 1))
-            arc += 1
-            arc_of.append(None)  # an under-passage belongs to no single arc
-        else:
-            arc_of.append(arc)
-    return arc, arc_of, unders
-
-
 def presentation(d: AnnularDiagram, include_outer_vertex: bool = False) -> FinitePresentation:
-    """Wirtinger-style presentation of the block's tangle complement group."""
+    """Wirtinger-style presentation of the block's tangle complement group.
+
+    One walk along each strand, inner boundary outward: an over-passage
+    records the current arc as its crossing's over arc, and an
+    under-passage records (crossing, arc before, arc after) and starts the
+    next arc.  The vertex relations read each strand's first and last arc.
+    """
     _require_valid(d)
-
-    def gen(strand, arc):
-        return f"{strand_letter(strand)}{arc}"
-
     gens = []
-    n_arcs = {}
-    arc_of_pos = {}
-    unders_of = {}
-    for k in range(1, d.n_strands + 1):
-        n, arc_of, unders = _arcs(d.strand(k))
-        n_arcs[k] = n
-        arc_of_pos[k] = arc_of
-        unders_of[k] = unders
-        gens.extend(gen(k, a) for a in range(1, n + 1))
-
-    # Arc passing over each crossing.
-    over_arc = {}
-    for k in range(1, d.n_strands + 1):
-        for pos, p in enumerate(d.strand(k)):
-            if p.role != UNDER:
-                over_arc[p.crossing] = gen(k, arc_of_pos[k][pos])
+    over_arc = {}  # crossing -> the arc passing over it
+    unders = []  # (crossing, arc before, arc after), strand by strand
+    ends = {}  # strand -> (first arc, last arc)
+    for k, strand in enumerate(d.strands, start=1):
+        letter = strand_letter(k)
+        arcs = [letter + "1"]
+        for p in strand:
+            if p.role == UNDER:
+                arcs.append(f"{letter}{len(arcs) + 1}")
+                unders.append((p.crossing, arcs[-2], arcs[-1]))
+            else:
+                over_arc[p.crossing] = arcs[-1]
+        gens.extend(arcs)
+        ends[k] = (arcs[0], arcs[-1])
 
     relators = []
-    for k in range(1, d.n_strands + 1):
-        for pos, before, after in unders_of[k]:
-            c = d.strand(k)[pos].crossing
-            over = over_arc[c]
-            s = d.signs[c]
-            # sign +1: out = over^-1 * in * over
-            relators.append(
-                free_reduce(
-                    [(over, -s), (gen(k, before), 1), (over, s), (gen(k, after), -1)]
-                )
-            )
+    for c, before, after in unders:
+        over, s = over_arc[c], d.signs[c]
+        # sign +1: out = over^-1 * in * over
+        relators.append(free_reduce([(over, -s), (before, 1), (over, s), (after, -1)]))
 
-    def vertex(order, arc_index):
-        order = list(order)
+    def vertex(order, end):
         i = order.index(1)
-        order = order[i:] + order[:i]
-        return tuple((gen(k, arc_index(k)), 1) for k in order)
+        return tuple((ends[k][end], 1) for k in order[i:] + order[:i])
 
-    relators.append(vertex(d.inner_order, lambda k: 1))
+    relators.append(vertex(d.inner_order, 0))
     if include_outer_vertex:
-        relators.append(vertex(d.outer_order, lambda k: n_arcs[k]))
+        relators.append(vertex(d.outer_order, -1))
     return _from_checked(tuple(gens), tuple(relators))
 
 
@@ -438,10 +410,13 @@ def abelianization(p: FinitePresentation) -> AbelianInvariants:
 def format_presentation(p: FinitePresentation) -> str:
     """Plain-text form: a ``gens:`` line then one relator word per line.
 
-    A capitalized generator token denotes its inverse.
+    A capitalized generator token denotes its inverse, so each name must
+    start with a lowercase letter a-z; any other name raises ValueError.
     """
     token = {}
     for g in p.generators:
+        if type(g) is not str or not "a" <= g[:1] <= "z":
+            raise ValueError(f"generator {g!r} does not start with a letter a-z")
         token[g, 1] = g
         token[g, -1] = g[:1].upper() + g[1:]
     lines = ["gens: " + ",".join(p.generators)]

@@ -160,4 +160,8 @@ def test_type_validation():
         DiffeoType(A, A, 1, 0, (1, 2, 3))
     with pytest.raises(ValueError):
         DiffeoType(A, A, 1, 1, (1, 1, 3))
+    # Blocks are BlockLabels, not their names.
+    for domain, codomain in (("A", "Ab"), (A, "Ab"), ("A", AB), (None, A)):
+        with pytest.raises(ValueError, match="BlockLabel"):
+            DiffeoType(domain, codomain, 1, 1, (1, 2, 3))
     assert len(ALL_PERMS) == 6 and A3 | C3 == set(ALL_PERMS)

@@ -190,6 +190,15 @@ def test_budget_caps_the_whole_count():
         assert exc.value.budget == r.nodes - 1
 
 
+@pytest.mark.parametrize("budget", ["x", None, 1.5, True, False, -1])
+def test_budget_that_is_not_a_non_negative_int_is_refused(budget):
+    p = presentation(builtin("A"))
+    for method in (count_total, count_classes_burnside, count_classes_enumerate,
+                   enumerate_homs):
+        with pytest.raises(ValueError, match="budget"):
+            method(p, 3, budget=budget)
+
+
 def test_hom_class_count_bounds():
     # at most total_homs classes, at least total_homs / n!
     HomClassCount(3, 36, 11, "enumerate")

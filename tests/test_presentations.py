@@ -11,7 +11,17 @@ import pytest
 from hypothesis import example, given, settings
 
 import helpers
-from borrays.diagrams import bar, builtin, concat, from_braid
+from borrays.diagrams import (
+    BUILTIN_NAMES,
+    AnnularDiagram,
+    Passage,
+    bar,
+    builtin,
+    concat,
+    forget,
+    from_braid,
+    star,
+)
 from borrays.presentations import (
     AbelianInvariants,
     FinitePresentation,
@@ -194,6 +204,58 @@ def test_tietze_output_of_two_prefix_copies_is_pinned():
         "4d90d99ae9bf9a061404747d53ac6806b248577ce1574455313ac0b7e699d451")
 
 
+def _random_valid_diagram(rng):
+    """A valid diagram with random crossings, self-crossings included.
+
+    Each crossing's over and under passages go in at random places of
+    random strands, crossing ids are sparse and unordered, and both
+    boundary orders are shuffled.
+    """
+    n = rng.randint(1, 12)
+    strands = [[] for _ in range(n)]
+    ids = rng.sample(range(1000), rng.randint(0, 20))
+    for c in ids:
+        for role in ("o", "u"):
+            s = rng.choice(strands)
+            s.insert(rng.randint(0, len(s)), Passage(c, role))
+    inner, outer = list(range(1, n + 1)), list(range(1, n + 1))
+    rng.shuffle(inner)
+    rng.shuffle(outer)
+    return AnnularDiagram(n, tuple(map(tuple, strands)),
+                          {c: rng.choice((1, -1)) for c in ids},
+                          tuple(inner), tuple(outer))
+
+
+def _presentation_corpus():
+    rng = random.Random(18)
+    yield from map(builtin, BUILTIN_NAMES + ("eps27",))
+    a = builtin("A")
+    yield from (forget(a, 2), bar(star(a)), concat(a, builtin("dirac")))
+    names = ("A", "Ab", "As", "Abs", "dirac", "eps3")
+    for length in [*range(1, 13), 20, 39, 78]:
+        # concat takes two blocks at least; a trailing eps3 changes nothing.
+        yield concat(*map(builtin, rng.choices(names, k=length)), builtin("eps3"))
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        yield from_braid(n, [(rng.randint(1, n - 1), rng.choice("lr"),
+                              rng.choice((1, -1))) for _ in range(rng.randint(0, 8))])
+    for _ in range(300):
+        yield _random_valid_diagram(rng)
+
+
+def test_presentations_of_a_seeded_corpus_are_pinned():
+    """Generators, relators and their order, with and without the outer
+    vertex relation, over builtins, block words, braids and random
+    diagrams with self-crossings and shuffled boundary orders."""
+    digest = hashlib.sha256()
+    for d in _presentation_corpus():
+        for outer in (False, True):
+            p = presentation(d, include_outer_vertex=outer)
+            digest.update(repr((p.generators, p.relators)).encode())
+    assert digest.hexdigest() == (
+        "06e0d206ed293f416369d1de9c000f472892e098e5d14193b97aa362ac649b41")
+
+
 def test_abelianizations():
     # tangle complement of A: three meridians with one vertex relation
     assert abelianization(presentation(builtin("A"))) == AbelianInvariants(2, ())
@@ -267,6 +329,14 @@ def test_long_block_word_has_free_abelian_rank_2():
 def test_format_presentation_capital_inverse():
     p = FinitePresentation(("x1", "y1"), ((("x1", 1), ("y1", -1)),))
     assert format_presentation(p) == "gens: x1,y1\nx1 Y1"
+
+
+# "A" would print as both itself and the inverse of "a".
+@pytest.mark.parametrize("name", ["A", "1a", "_a", "", " a", "\u00e9", 1, None])
+def test_format_presentation_refuses_names_it_cannot_print(name):
+    p = FinitePresentation(("a", name), ((("a", -1),), ((name, 1),)))
+    with pytest.raises(ValueError, match="letter a-z"):
+        format_presentation(p)
 
 
 @settings(max_examples=200, deadline=None)
