@@ -46,7 +46,7 @@ def _diagram_from_args(args):
     blocks = [diagrams.builtin(tok) for tok in args.expr.split()]
     if not blocks:
         raise ValueError("empty block expression")
-    return diagrams.concat(*blocks) if len(blocks) > 1 else blocks[0]
+    return diagrams.concat(*blocks)
 
 
 def _cmd_present(args, out):

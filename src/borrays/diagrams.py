@@ -16,13 +16,11 @@ under-arc conjugated as ``out = over^-1 * in * over`` at a +1 crossing.
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-from .labels import ALL_LABELS
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 __all__ = [
     "Passage",
-    "Crossing",
     "Violation",
     "AnnularDiagram",
     "builtin",
@@ -49,11 +47,6 @@ class Passage(NamedTuple):
     role: str  # "o" or "u"
 
 
-class Crossing(NamedTuple):
-    id: int
-    sign: int  # +1 or -1
-
-
 class Violation(NamedTuple):
     kind: str
     message: str
@@ -64,20 +57,25 @@ class AnnularDiagram:
     """Immutable combinatorial model of an n-strand block diagram.
 
     strands[i] lists the passages of strand i+1, inner boundary to outer.
-    ``signs`` maps crossing id to +-1.  ``inner_order``/``outer_order`` give
-    the counterclockwise cyclic order of strand indices (1-based) on the two
-    boundary spheres.
+    ``signs`` maps crossing id to +-1; it is stored as a read-only view of
+    a copy of the mapping given, so a diagram can be shared.
+    ``inner_order``/``outer_order`` give the counterclockwise cyclic order
+    of strand indices (1-based) on the two boundary spheres.
     """
 
     n_strands: int
     strands: tuple
-    signs: dict = field(hash=False)
+    signs: Mapping = field(hash=False)
     inner_order: tuple
     outer_order: tuple
 
-    @property
-    def crossings(self):
-        return frozenset(Crossing(c, s) for c, s in self.signs.items())
+    def __post_init__(self):
+        object.__setattr__(self, "signs", MappingProxyType(dict(self.signs)))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled; rebuild from a plain dict.
+        return type(self), (self.n_strands, self.strands, dict(self.signs),
+                            self.inner_order, self.outer_order)
 
     @property
     def crossing_count(self) -> int:
@@ -92,7 +90,7 @@ def _mk(n_strands, strands, signs, inner_order, outer_order) -> AnnularDiagram:
     return AnnularDiagram(
         n_strands=n_strands,
         strands=tuple(tuple(Passage(*p) for p in s) for s in strands),
-        signs=dict(signs),
+        signs=signs,
         inner_order=tuple(inner_order),
         outer_order=tuple(outer_order),
     )
@@ -203,14 +201,14 @@ def star(d: AnnularDiagram) -> AnnularDiagram:
     )
 
 
-def concat(first: AnnularDiagram, second: AnnularDiagram,
-           *rest: AnnularDiagram) -> AnnularDiagram:
+def concat(first: AnnularDiagram, *rest: AnnularDiagram) -> AnnularDiagram:
     """Glue each diagram's outer boundary to the next one's inner boundary.
 
     One pass over the blocks; the result, crossing ids included, is that
-    of gluing them pairwise from the left.
+    of gluing them pairwise from the left, and one block gives an equal
+    diagram.
     """
-    blocks = (first, second) + rest
+    blocks = (first,) + rest
     strands = [[(p.crossing, p.role) for p in s] for s in first.strands]
     signs = dict(first.signs)
     top = max(signs, default=0)
@@ -303,36 +301,28 @@ def from_braid(n_strands: int, moves) -> AnnularDiagram:
     return _mk(n_strands, strands, signs, inner, at)
 
 
-# Builtin A: six crossings wired so the Wirtinger presentation is the
-# standard one for this block (three strands x, y, z with arcs x1..x3 etc.,
-# crossing relations y2 x2 = x1 y2, x2 y3 = y2 x2, x2 z2 = z1 x2,
-# z2 x3 = x2 z2, z2 y2 = y1 z2, y2 z3 = z2 y2).
-# Borromean block: six positive crossings; each strand dips under the
-# other two strands' middle arcs.  The order of the two over-passages on
-# strand 2's middle arc is reversed relative to strands 1 and 3; that
-# ordering is what makes the wiring planar-realizable (its mirror then
-# has the same homomorphism counts as the block itself).
+# Builtin A, the Borromean block: six positive crossings, each strand
+# dipping under the other two strands' middle arcs, wired so that the
+# Wirtinger presentation is the standard one for this block (strands x,
+# y, z with arcs x1..x3 etc., crossing relations y2 x2 = x1 y2,
+# x2 y3 = y2 x2, x2 z2 = z1 x2, z2 x3 = x2 z2, z2 y2 = y1 z2,
+# y2 z3 = z2 y2).  The order of the two over-passages on strand 2's
+# middle arc is reversed relative to strands 1 and 3; that ordering is
+# what makes the wiring planar-realizable (its mirror then has the same
+# homomorphism counts as the block itself).
 _A_STRANDS = (
     ((1, UNDER), (2, OVER), (3, OVER), (4, UNDER)),  # x
     ((5, UNDER), (6, OVER), (1, OVER), (2, UNDER)),  # y
     ((3, UNDER), (4, OVER), (5, OVER), (6, UNDER)),  # z
 )
 
-
-def _builtin_a() -> AnnularDiagram:
-    return _mk(3, _A_STRANDS, {c: 1 for c in range(1, 7)}, (1, 2, 3), (1, 2, 3))
-
-
-def _builtin_eps(n: int) -> AnnularDiagram:
-    order = range(1, n + 1)
-    return _mk(n, [[] for _ in order], {}, order, order)
-
-
-def _builtin_dirac() -> AnnularDiagram:
-    # One full twist on three strands: the square of the half-twist braid.
-    half = [(1, "l", 1), (2, "l", 1), (1, "l", 1)]
-    return from_braid(3, half + half)
-
+# The fixed blocks are values, built once and shared by every ``builtin``
+# call; dirac is one full twist on three strands, the square of the
+# half-twist braid.
+_A = _mk(3, _A_STRANDS, {c: 1 for c in range(1, 7)}, (1, 2, 3), (1, 2, 3))
+_HALF_TWIST = [(1, "l", 1), (2, "l", 1), (1, "l", 1)]
+_BUILTINS = {"A": _A, "Ab": bar(_A), "As": star(_A), "Abs": bar(star(_A)),
+             "dirac": from_braid(3, _HALF_TWIST * 2)}
 
 BUILTIN_NAMES = ("A", "Ab", "As", "Abs", "eps1", "eps2", "eps3", "dirac")
 
@@ -356,23 +346,19 @@ def builtin(name: str) -> AnnularDiagram:
 
     "A" is the Borromean block; "Ab", "As", "Abs" its bar/star transforms;
     "epsN" the trivial N-strand block for 1 <= N <= MAX_EPS_STRANDS (1000);
-    "dirac" the full-twist block.  A larger N raises ValueError.
+    "dirac" the full-twist block.  A larger N raises ValueError.  Every
+    block but epsN is one shared read-only value.
     """
-    label = next((lab for lab in ALL_LABELS if lab.name == name), None)
-    if label is not None:
-        d = _builtin_a()
-        if label.starred:
-            d = star(d)
-        return bar(d) if label.barred else d
+    if name in _BUILTINS:
+        return _BUILTINS[name]
     n = _canonical_int(name[3:]) if name.startswith("eps") else None
     if n is not None and n > MAX_EPS_STRANDS:
         raise ValueError(
             f"builtin {name!r}: epsN takes at most {MAX_EPS_STRANDS} strands"
         )
     if n is not None and n >= 1:
-        return _builtin_eps(n)
-    if name == "dirac":
-        return _builtin_dirac()
+        order = range(1, n + 1)
+        return _mk(n, [[] for _ in order], {}, order, order)
     raise ValueError(
         f"unknown builtin diagram {name!r}; valid names are: "
         + ", ".join(BUILTIN_NAMES)

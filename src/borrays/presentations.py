@@ -411,12 +411,15 @@ def format_presentation(p: FinitePresentation) -> str:
     """Plain-text form: a ``gens:`` line then one relator word per line.
 
     A capitalized generator token denotes its inverse, so each name must
-    start with a lowercase letter a-z; any other name raises ValueError.
+    start with a lowercase letter a-z; commas and whitespace separate
+    tokens, so no name may hold either.  Any other name raises ValueError.
     """
     token = {}
     for g in p.generators:
         if type(g) is not str or not "a" <= g[:1] <= "z":
             raise ValueError(f"generator {g!r} does not start with a letter a-z")
+        if "," in g or any(map(str.isspace, g)):
+            raise ValueError(f"generator {g!r} holds a comma or whitespace")
         token[g, 1] = g
         token[g, -1] = g[:1].upper() + g[1:]
     lines = ["gens: " + ",".join(p.generators)]

@@ -1,6 +1,8 @@
 """Diagram model: constructors, validation, and the bar/star/concat algebra."""
 
+import copy
 import json
+import pickle
 import random
 from functools import reduce
 
@@ -234,6 +236,64 @@ def test_braid_diagrams_valid(d):
 
 def test_builtin_transforms_match_operations():
     a = builtin("A")
+    assert a == AnnularDiagram(
+        3, tuple(tuple(Passage(*p) for p in s) for s in diagrams._A_STRANDS),
+        {c: 1 for c in range(1, 7)}, (1, 2, 3), (1, 2, 3))
     assert builtin("Ab") == bar(a)
     assert builtin("As") == star(a)
     assert builtin("Abs") == bar(star(a))
+    half = [(1, "l", 1), (2, "l", 1), (1, "l", 1)]
+    assert builtin("dirac") == from_braid(3, half * 2)
+
+
+SHARED_BUILTINS = ("A", "Ab", "As", "Abs", "dirac")
+
+
+@pytest.mark.parametrize("name", SHARED_BUILTINS)
+def test_builtin_blocks_are_shared(name):
+    assert builtin(name) is builtin(name)
+
+
+def _diagrams_of_every_origin():
+    a = builtin("A")
+    found = {name: builtin(name) for name in SHARED_BUILTINS + ("eps3",)}
+    found.update(bar=bar(a), star=star(a), concat=concat(a, a),
+                 forget=forget(a, 2), normalize=normalize(a),
+                 from_json=from_json(to_json(a)),
+                 from_braid=from_braid(3, [(1, "l", 1)]))
+    found["constructor"] = AnnularDiagram(
+        2, ((Passage(1, "o"),), (Passage(1, "u"),)), {1: -1}, (1, 2), (2, 1))
+    return found
+
+
+ORIGINS = _diagrams_of_every_origin()
+
+
+@pytest.mark.parametrize("origin", ORIGINS)
+def test_signs_are_read_only(origin):
+    d = ORIGINS[origin]
+    with pytest.raises(TypeError):
+        d.signs[1] = 1
+    with pytest.raises(AttributeError):
+        d.signs.clear()
+
+
+def test_constructor_copies_signs():
+    signs = {1: -1}
+    d = AnnularDiagram(2, ((Passage(1, "o"),), (Passage(1, "u"),)), signs,
+                       (1, 2), (2, 1))
+    signs[1] = 1
+    assert d.signs == {1: -1}
+
+
+@pytest.mark.parametrize("origin", ORIGINS)
+def test_pickle_and_copies_give_an_equal_diagram(origin):
+    d = ORIGINS[origin]
+    for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+        assert twin == d and hash(twin) == hash(d)
+        assert twin.signs == dict(d.signs)
+
+
+@pytest.mark.parametrize("origin", ORIGINS)
+def test_concat_of_one_block_is_that_block(origin):
+    assert concat(ORIGINS[origin]) == ORIGINS[origin]

@@ -233,7 +233,7 @@ def _presentation_corpus():
     yield from (forget(a, 2), bar(star(a)), concat(a, builtin("dirac")))
     names = ("A", "Ab", "As", "Abs", "dirac", "eps3")
     for length in [*range(1, 13), 20, 39, 78]:
-        # concat takes two blocks at least; a trailing eps3 changes nothing.
+        # A trailing eps3 changes no presentation; the digest was taken with it.
         yield concat(*map(builtin, rng.choices(names, k=length)), builtin("eps3"))
     for _ in range(20):
         n = rng.randint(2, 5)
@@ -336,6 +336,14 @@ def test_format_presentation_capital_inverse():
 def test_format_presentation_refuses_names_it_cannot_print(name):
     p = FinitePresentation(("a", name), ((("a", -1),), ((name, 1),)))
     with pytest.raises(ValueError, match="letter a-z"):
+        format_presentation(p)
+
+
+# "a,b" would print as two names, and the inverse of "a b" as A b.
+@pytest.mark.parametrize("name", ["a,b", "a,", "a b", "ab\t", "a\nb", "a\u2003b"])
+def test_format_presentation_refuses_names_with_a_comma_or_whitespace(name):
+    p = FinitePresentation((name, "c"), (((name, -1),),))
+    with pytest.raises(ValueError, match="comma or whitespace"):
         format_presentation(p)
 
 
