@@ -5,12 +5,13 @@ The one search kernel behind every count in :mod:`borrays.homcount`.
 Elements are indices.  :func:`symmetric_group` lists Sym(n) in sorted
 order (0-based image tuples), so index 0 is the identity, and builds its
 Cayley table once per count: ``mul[a][b]`` is the index of the product
-``a·b``, where ``(a·b)[i] = a[b[i]]``, with one ``array('H')`` row per
-element, and ``inv[a]`` is the index of ``a``'s inverse.  A subgroup
+``a·b``, where ``(a·b)[i] = a[b[i]]``, and ``inv[a]`` is the index of
+``a``'s inverse.  A row is a tuple for n <= 5, which the interpreter
+subscripts on its fast path, and an ``array('H')`` above.  A subgroup
 (Sym(n) itself, or a centralizer) shares the table and adds its elements
-in ascending order and a member bytearray.  The table holds (n!)^2
-two-byte entries: 1 MB for Sym(6), 51 MB for Sym(7), and 3.3 GB for
-Sym(8), which is why ``homcount.MAX_DEGREE`` is 7.
+in ascending order and a 0/1 member tuple.  The table holds (n!)^2
+entries, two bytes each in arrays: 1 MB for Sym(6), 51 MB for Sym(7),
+and 3.3 GB for Sym(8), which is why ``homcount.MAX_DEGREE`` is 7.
 
 The cascade is compiled once per presentation.  A relator is checked as
 soon as all of its generators are assigned, and a relator in which
@@ -59,7 +60,7 @@ group's elements.  Only the searched levels count nodes.
 """
 
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heappop, heappush
 from itertools import permutations
 
@@ -73,10 +74,10 @@ class Group:
     """A subgroup of Sym(n) whose elements are indices into ``perms``.
 
     perms: Sym(n)'s permutations as 0-based image tuples, sorted.
-    mul: ``mul[a][b]`` is the index of a·b.
+    mul: ``mul[a][b]`` is a·b's index; tuple rows if n <= 5, else arrays.
     inv: ``inv[a]`` is the index of a^-1.
     elements: this subgroup's element indices, ascending.
-    member: ``member[a]`` is 1 iff ``a`` is an element.
+    member: ``member[a]`` is 1 iff ``a`` is an element, as a tuple.
     """
 
     __slots__ = ("perms", "mul", "inv", "elements", "member", "__weakref__")
@@ -87,16 +88,16 @@ class Group:
 
     def subgroup(self, elements):
         """The subgroup with these elements, given in ascending order."""
-        elements = list(elements)
-        member = bytearray(len(self.perms))
+        elements = tuple(elements)
+        member = [0] * len(self.perms)
         for x in elements:
             member[x] = 1
-        return Group(self.perms, self.mul, self.inv, elements, member)
+        return Group(self.perms, self.mul, self.inv, elements, tuple(member))
 
 
 def symmetric_group(n):
-    """Sym(n) with its Cayley table."""
-    perms = sorted(permutations(range(n)))
+    """Sym(n) with its Cayley table: tuple rows for n <= 5, else arrays."""
+    perms = tuple(sorted(permutations(range(n))))
     index = {p: i for i, p in enumerate(perms)}
     # Left multiplication by each adjacent transposition s, as an index
     # map.  The row of s·a is then the row of a mapped through s's map.
@@ -105,17 +106,20 @@ def symmetric_group(n):
         s = list(range(n))
         s[i], s[i + 1] = s[i + 1], s[i]
         lefts.append([index[tuple(s[x] for x in p)] for p in perms])
+    # Tuple rows take the fast path for subscripts (1.5x the nodes/s at n <= 5);
+    # at n = 6 they measured no faster, and take 8 bytes an entry against 2.
+    as_row = tuple if n <= 5 else partial(array, "H")
     mul = [None] * len(perms)
-    mul[0] = array("H", range(len(perms)))
+    mul[0] = as_row(range(len(perms)))
     reached = [0]
     for a in reached:
         for left in lefts:
             b = left[a]
             if mul[b] is None:
-                mul[b] = array("H", map(left.__getitem__, mul[a]))
+                mul[b] = as_row(map(left.__getitem__, mul[a]))
                 reached.append(b)
-    inv = [row.index(0) for row in mul]
-    return Group(perms, mul, inv, range(len(perms)), bytearray([1]) * len(perms))
+    inv = tuple(row.index(0) for row in mul)
+    return Group(perms, tuple(mul), inv, range(len(perms)), (1,) * len(perms))
 
 
 class Level:

@@ -346,9 +346,11 @@ def builtin(name: str) -> AnnularDiagram:
 
     "A" is the Borromean block; "Ab", "As", "Abs" its bar/star transforms;
     "epsN" the trivial N-strand block for 1 <= N <= MAX_EPS_STRANDS (1000);
-    "dirac" the full-twist block.  A larger N raises ValueError.  Every
-    block but epsN is one shared read-only value.
+    "dirac" the full-twist block.  A larger N or a non-str name raises
+    ValueError.  Every block but epsN is one shared read-only value.
     """
+    if not isinstance(name, str):
+        raise ValueError(f"builtin name must be a str, not {type(name).__name__}")
     if name in _BUILTINS:
         return _BUILTINS[name]
     n = _canonical_int(name[3:]) if name.startswith("eps") else None

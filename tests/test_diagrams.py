@@ -187,6 +187,13 @@ def test_noncanonical_eps_is_unknown(name):
         builtin(name)
 
 
+@pytest.mark.parametrize("name, kind", [(None, "NoneType"), (3, "int"),
+                                        (["A"], "list")])
+def test_builtin_name_that_is_not_a_str_is_refused(name, kind):
+    with pytest.raises(ValueError, match=f"^builtin name must be a str, not {kind}$"):
+        builtin(name)
+
+
 def _with_signs(signs):
     """A's JSON with its ``signs`` object replaced, as text."""
     obj = json.loads(to_json(builtin("A")))

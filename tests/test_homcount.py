@@ -4,6 +4,7 @@ import gc
 import hashlib
 import random
 import weakref
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +54,15 @@ def test_eps3_class_counts():
     d = builtin("eps3")
     for n, want in enumerate(EPS3_CLASSES, start=1):
         assert classes(d, n) == want
+
+
+def test_eps3_counts_into_sym6():
+    # The paper's value, and the one tier-1 count on array rows: eps3
+    # presents F2, so it has (6!)^2 homomorphisms into Sym(6).
+    p = presentation(builtin("eps3"))
+    r = count_classes_burnside(p, 6)
+    assert (r.class_count, r.total_homs) == (901, factorial(6) ** 2)
+    assert count_total(p, 6) == 518_400
 
 
 def test_a_class_counts():
@@ -410,17 +420,44 @@ def test_kernel_matches_brute_force(case, n):
 
 
 def test_cayley_table_multiplies_in_relator_order():
-    for n in (1, 2, 3, 4):
+    # Exhaustive up to Sym(5), whose rows are tuples; Sym(6), whose rows
+    # are arrays, on a seeded sample of products and on every inverse.
+    rng = random.Random(6)
+    for n in range(7):
         group = _kernel.symmetric_group(n)
         perms = group.perms
-        assert perms == sorted(permutations(range(n)))
+        assert list(perms) == sorted(permutations(range(n)))
         assert perms[0] == tuple(range(n))
+        indices = range(len(perms))
+        pairs = (product(indices, indices) if n <= 5 else
+                 [(rng.choice(indices), rng.choice(indices))
+                  for _ in range(2000)])
+        for a, b in pairs:
+            want = _relator_value(((0, 1), (1, 1)), (perms[a], perms[b]), n)
+            assert perms[group.mul[a][b]] == want
         for a, p in enumerate(perms):
-            for b, q in enumerate(perms):
-                want = _relator_value(((0, 1), (1, 1)), (p, q), n)
-                assert perms[group.mul[a][b]] == want
             assert group.mul[a][group.inv[a]] == 0
             assert perms[group.inv[a]] == _relator_value(((0, -1),), (p,), n)
+
+
+def test_small_tables_are_tuples_and_subgroups_share_them():
+    for n in range(7):
+        sym = _kernel.symmetric_group(n)
+        assert type(sym.perms) is type(sym.mul) is type(sym.inv) is tuple
+        assert type(sym.member) is tuple and set(sym.member) == {1}
+        assert sym.elements == range(len(sym.perms))
+        # Tuple rows from Sym(6) on would cost four times the memory.
+        if n <= 5:
+            assert all(type(row) is tuple for row in sym.mul)
+        else:
+            assert all(type(row) is array and row.typecode == "H"
+                       for row in sym.mul)
+        sub = sym.subgroup(x for x in sym.elements if x % 2 == 0)
+        assert sub.mul is sym.mul and sub.inv is sym.inv
+        assert sub.perms is sym.perms
+        assert type(sub.elements) is type(sub.member) is tuple
+        assert sub.elements == tuple(range(0, len(sym.perms), 2))
+        assert sub.member == tuple((x + 1) % 2 for x in range(len(sym.perms)))
 
 
 def test_plan_shape_of_a_and_eps3():
