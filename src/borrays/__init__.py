@@ -26,11 +26,9 @@ from .groupoid import (
 )
 from .homcount import (
     HomClassCount,
-    Permutation,
     count_classes_burnside,
     count_classes_enumerate,
     count_total,
-    enumerate_homs,
     kernel_name,
 )
 from .labels import ALL_LABELS, BlockLabel, parse_label
@@ -61,8 +59,8 @@ __all__ = [
     "BudgetExceededError", "IntegrityError",
     "DiffeoType", "excluded_closure", "realized_closure", "type_compose",
     "type_inverse",
-    "HomClassCount", "Permutation", "count_classes_burnside",
-    "count_classes_enumerate", "count_total", "enumerate_homs", "kernel_name",
+    "HomClassCount", "count_classes_burnside", "count_classes_enumerate",
+    "count_total", "kernel_name",
     "ALL_LABELS", "BlockLabel", "parse_label",
     "FinitePresentation", "abelianization", "format_presentation",
     "presentation", "tietze_simplify",

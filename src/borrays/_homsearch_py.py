@@ -63,6 +63,7 @@ from array import array
 from functools import lru_cache, partial
 from heapq import heappop, heappush
 from itertools import permutations
+from operator import itemgetter
 
 from .errors import BudgetExceededError
 
@@ -108,6 +109,8 @@ def symmetric_group(n):
         lefts.append([index[tuple(s[x] for x in p)] for p in perms])
     # Tuple rows take the fast path for subscripts (1.5x the nodes/s at n <= 5);
     # at n = 6 they measured no faster, and take 8 bytes an entry against 2.
+    # Each row is read through ``left`` by one C-level itemgetter call; it
+    # gets n! >= 2 indices, so it returns a tuple (no walk runs below n = 2).
     as_row = tuple if n <= 5 else partial(array, "H")
     mul = [None] * len(perms)
     mul[0] = as_row(range(len(perms)))
@@ -116,7 +119,7 @@ def symmetric_group(n):
         for left in lefts:
             b = left[a]
             if mul[b] is None:
-                mul[b] = as_row(map(left.__getitem__, mul[a]))
+                mul[b] = as_row(itemgetter(*mul[a])(left))
                 reached.append(b)
     inv = tuple(row.index(0) for row in mul)
     return Group(perms, tuple(mul), inv, range(len(perms)), (1,) * len(perms))

@@ -2,19 +2,27 @@
 
 Two homomorphisms are equivalent when a single permutation conjugates every
 generator image of one onto the other.  Class counts are computed by two
-independent routes: explicit orbit partitioning of the enumerated
-homomorphism set, and a Burnside average over conjugacy-class
+independent routes: explicit orbits of a stabilizer on collected
+homomorphisms (enumeration), and a Burnside average over conjugacy-class
 representatives (counting homomorphisms into centralizers).
 
-One orbit-stabilizer routine, :func:`_conjugation_orbits`, gives the
-Burnside terms: the orbits of Sym(n) conjugating itself, with their
-centralizers.  Every count into a group (Sym(n) for the total, a centralizer for each
-Burnside term) factors out conjugation at the first two branching
-generators by the same routine: the first ranges over one representative
-per conjugacy class of the group, the second over one representative per
-orbit of the first image's centralizer, each term weighted by its orbit
-sizes.  Enumeration stays unreduced, so it remains an independent
-cross-check.
+Both routes, and every total, rest on one orbit split (:func:`_split`,
+Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
+§4.1), built by one orbit-stabilizer routine, :func:`_conjugation_orbits`.
+The first branching generator ranges over one representative y1 per
+conjugacy class of the group, the second over one representative y2 per
+orbit of y1's centralizer, and each term is weighted by both orbit sizes.
+A total into a group (Sym(n), or a centralizer for a Burnside term) is the
+sum of weight × extensions over its terms.  Every orbit of Sym(n) on the
+homomorphisms meets exactly one term, and there it is one orbit of the
+term's stabilizer S = C(y1) ∩ C(y2); enumeration collects each term's
+extensions and finds those S-orbits one by one (under a trivial S it only
+counts them).  The Burnside terms are
+the orbits of Sym(n) conjugating itself, computed once per count and
+shared with the split of its identity term, the total.  The two routes
+share the kernel, the plan and the split's representatives and
+stabilizers, but not the Burnside sum, the class sizes or the searches
+into centralizers.
 
 ``budget`` caps the search nodes of a whole count, summed over its kernel
 calls; a searched level spends one node per element of the group when it
@@ -27,14 +35,11 @@ its presentation once into a search plan (:func:`_compiled`): the
 relators solved or checked at each branching generator, in a branching
 order the plan chooses itself.  The kernel runs each level of the plan as
 generated Python code; in Sym(n) itself it skips the solves whose values
-nothing reads.  The orbit split's two fixed images are values for the plan's first two
-levels.  Enumeration converts indices
-to :class:`Permutation` only at its edge.  Degrees above ``MAX_DEGREE``
-are refused, because the table of Sym(n) holds (n!)^2 entries, and
-enumeration refuses degrees above ``MAX_ENUMERATE_DEGREE``.
+nothing reads.  The orbit split's two fixed images are values for the
+plan's first two levels.  Degrees above ``MAX_DEGREE`` are refused,
+because the table of Sym(n) holds (n!)^2 entries.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial
 
@@ -43,13 +48,10 @@ from .errors import BudgetExceededError, IntegrityError
 from .presentations import FinitePresentation
 
 __all__ = [
-    "Permutation",
     "HomClassCount",
     "DEFAULT_BUDGET",
     "MAX_DEGREE",
-    "MAX_ENUMERATE_DEGREE",
     "kernel_name",
-    "enumerate_homs",
     "count_total",
     "count_classes_enumerate",
     "count_classes_burnside",
@@ -61,33 +63,10 @@ DEFAULT_BUDGET = 10**10
 # 51 MB for Sym(7), while Sym(8)'s would need about 3.3 GB.
 MAX_DEGREE = 7
 
-# Enumeration keeps every homomorphism and has no orbit split: eps3 into
-# Sym(7) holds 25,401,600 of them, and A would search about 5040^3 nodes.
-MAX_ENUMERATE_DEGREE = 6
-
 
 def kernel_name() -> str:
     """Module name of the active search kernel."""
     return _kernel.__name__
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..n} given by its image array (1-based)."""
-
-    images: tuple
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"{self.images} is not a permutation of 1..{n}")
-
-    @classmethod
-    def from_zero_based(cls, p):
-        return cls(tuple(x + 1 for x in p))
-
-    def zero_based(self):
-        return tuple(x - 1 for x in self.images)
 
 
 @dataclass(frozen=True)
@@ -116,7 +95,7 @@ def _compiled(p: FinitePresentation):
     return _kernel.compile_plan(len(gens), relators, gens)
 
 
-def _check_degree(n, enumerating=False):
+def _check_degree(n):
     if type(n) is not int:
         raise ValueError(f"degree {n!r} is not an int")
     if n < 0:
@@ -125,12 +104,6 @@ def _check_degree(n, enumerating=False):
         raise ValueError(
             f"degree {n} is above the largest supported degree, "
             f"MAX_DEGREE = {MAX_DEGREE}"
-        )
-    if enumerating and n > MAX_ENUMERATE_DEGREE:
-        raise ValueError(
-            f"degree {n} is above the largest degree for enumeration, "
-            f"MAX_ENUMERATE_DEGREE = {MAX_ENUMERATE_DEGREE}; "
-            "the Burnside method counts it"
         )
 
 
@@ -152,23 +125,6 @@ class _Budget:
             raise BudgetExceededError(self.limit) from None
         self.spent += nodes
         return count, homs
-
-
-def enumerate_homs(p: FinitePresentation, n: int, budget: int = DEFAULT_BUDGET):
-    """Iterator over every homomorphism into Sym(n), in a deterministic order.
-
-    Each homomorphism is a dict mapping generator symbol to Permutation.
-    The search runs, and a degree above ``MAX_ENUMERATE_DEGREE`` is
-    refused, on call.
-    """
-    _check_degree(n, enumerating=True)
-    sym = _kernel.symmetric_group(n)
-    _, homs = _Budget(budget).search(_compiled(p), sym, collect=True)
-    return (
-        {g: Permutation.from_zero_based(sym.perms[x])
-         for g, x in zip(p.generators, hom)}
-        for hom in homs
-    )
 
 
 def _conjugation_orbits(acting, group):
@@ -197,26 +153,43 @@ def _conjugation_orbits(acting, group):
     return out
 
 
-def _count_into(plan, group, budget: _Budget) -> int:
-    """Homomorphisms into ``group``, a subgroup of Sym(n) with its table.
+def _split(plan, group, classes=None):
+    """The orbit split of a count into ``group``: (fixed, weight, stabilizer) terms.
 
     Conjugating the images of the first two branching generators by one
-    element of the group does not change the number of homomorphisms
-    extending them.  So the first ranges over one representative per
-    conjugacy class of the group, the second over one representative per
-    orbit of the first image's centralizer in the group (its stabilizer
-    from the first level), and each kernel call is weighted by both orbit
-    sizes.  They are values for the plan's first two levels.
+    element of the group carries the homomorphisms extending them onto
+    those extending the conjugates.  So the first ranges over one
+    representative per conjugacy class of the group, the second over one
+    representative per orbit of the first image's centralizer in the group
+    (its stabilizer from the first level), and each term is weighted by
+    both orbit sizes.  ``fixed`` holds the values for the plan's first two
+    levels (fewer if the plan has fewer), and ``stabilizer`` their joint
+    centralizer in the group, ascending.
+
+    classes: the group's orbits on itself, ``_conjugation_orbits(
+        group.elements, group)``, if the caller has them already.
     """
+    if classes is None:
+        classes = _conjugation_orbits(group.elements, group)
     terms = [((), 1, group.elements)]
     for _ in plan.levels[:2]:
         terms = [
             (fixed + (y,), weight * size, stabilizer)
             for fixed, weight, acting in terms
-            for y, size, stabilizer in _conjugation_orbits(acting, group)
+            for y, size, stabilizer in (
+                _conjugation_orbits(acting, group) if fixed else classes)
         ]
+    return terms
+
+
+def _count_into(plan, group, budget: _Budget, classes=None) -> int:
+    """Homomorphisms into ``group``, a subgroup of Sym(n) with its table.
+
+    One kernel call per term of the orbit split, weighted by its orbit
+    sizes; ``classes`` is passed on to :func:`_split`.
+    """
     return sum(weight * budget.search(plan, group, fixed)[0]
-               for fixed, weight, _ in terms)
+               for fixed, weight, _ in _split(plan, group, classes))
 
 
 def count_total(p: FinitePresentation, n: int,
@@ -227,21 +200,16 @@ def count_total(p: FinitePresentation, n: int,
                        _Budget(budget))
 
 
-def _orbit_count(homs, group):
-    """Orbits of the hom set under simultaneous conjugation.
+def _orbit_count(homs, stabilizer, group):
+    """Orbits of ``stabilizer`` conjugating the hom set ``homs``.
 
     ``homs`` are tuples of element indices of the
-    :class:`~borrays._homsearch_py.Group` ``group``, a symmetric group.
-    Closure is generated by the adjacent transpositions (i, i+1).
+    :class:`~borrays._homsearch_py.Group` ``group``, and ``stabilizer``
+    lists elements of ``group``.  Each new homomorphism is conjugated by
+    every element, which marks its whole orbit seen; a conjugate outside
+    ``homs`` raises IntegrityError.
     """
-    mul, perms = group.mul, group.perms
-    n = len(perms[0])
-    conjugations = []
-    for i in range(n - 1):
-        t = list(range(n))
-        t[i], t[i + 1] = t[i + 1], t[i]
-        t = bisect_left(perms, tuple(t))
-        conjugations.append([mul[mul[t][x]][t] for x in range(len(perms))])
+    mul, inv = group.mul, group.inv
     hom_set = set(homs)
     seen = set()
     orbits = 0
@@ -249,29 +217,37 @@ def _orbit_count(homs, group):
         if hom in seen:
             continue
         orbits += 1
-        stack = [hom]
-        seen.add(hom)
-        while stack:
-            cur = stack.pop()
-            for by in conjugations:
-                conj = tuple(map(by.__getitem__, cur))
-                if conj not in seen:
-                    if conj not in hom_set:
-                        raise IntegrityError("hom set is not conjugation-closed")
-                    seen.add(conj)
-                    stack.append(conj)
+        for h in stabilizer:
+            row, h_inv = mul[h], inv[h]
+            conj = tuple([mul[row[x]][h_inv] for x in hom])  # h x h^-1
+            if conj not in hom_set:
+                raise IntegrityError("hom set is not conjugation-closed")
+            seen.add(conj)
     return orbits
 
 
 def count_classes_enumerate(p: FinitePresentation, n: int,
                             budget: int = DEFAULT_BUDGET) -> HomClassCount:
-    """Class count by full enumeration and explicit orbit partitioning."""
-    _check_degree(n, enumerating=True)
+    """Class count by explicit orbits of the orbit split's stabilizers.
+
+    Every orbit of Sym(n) on the homomorphisms meets exactly one term
+    (y1, y2) of the split, and there it is one orbit of the term's
+    stabilizer S = C(y1) ∩ C(y2) on the homomorphisms extending (y1, y2).
+    So each term's extensions are collected and their S-orbits counted.
+    """
+    _check_degree(n)
+    plan = _compiled(p)
     budget = _Budget(budget)
     sym = _kernel.symmetric_group(n)
-    count, homs = budget.search(_compiled(p), sym, collect=True)
-    return HomClassCount(n, count, _orbit_count(homs, sym), "enumerate",
-                         budget.spent)
+    total = classes = 0
+    for fixed, weight, stabilizer in _split(plan, sym):
+        # Under a trivial stabilizer each extension is its own orbit, so the
+        # kernel only counts them.
+        trivial = len(stabilizer) == 1
+        count, homs = budget.search(plan, sym, fixed, collect=not trivial)
+        total += weight * count
+        classes += count if trivial else _orbit_count(homs, stabilizer, sym)
+    return HomClassCount(n, total, classes, "enumerate", budget.spent)
 
 
 def count_classes_burnside(p: FinitePresentation, n: int,
@@ -283,16 +259,18 @@ def count_classes_burnside(p: FinitePresentation, n: int,
     The terms come from the orbit split's orbit-stabilizer routine, with
     Sym(n) conjugating itself: each class's first element, its size and
     its centralizer.  The identity's class comes first, and its
-    centralizer is Sym(n), so its term is the total.
+    centralizer is Sym(n), so its term is the total; its split reuses
+    these classes.
     """
     _check_degree(n)
     plan = _compiled(p)
     budget = _Budget(budget)
     sym = _kernel.symmetric_group(n)
-    terms = [(size, _count_into(plan, sym.subgroup(centralizer), budget))
-             for _, size, centralizer in _conjugation_orbits(sym.elements, sym)]
-    total = terms[0][1]
-    acc = sum(size * fixed_count for size, fixed_count in terms)
+    classes = _conjugation_orbits(sym.elements, sym)
+    total = _count_into(plan, sym, budget, classes)
+    acc = total + sum(
+        size * _count_into(plan, sym.subgroup(centralizer), budget)
+        for _, size, centralizer in classes[1:])
     if acc % factorial(n):
         raise IntegrityError("Burnside sum is not divisible by n!")
     return HomClassCount(n, total, acc // factorial(n), "burnside",

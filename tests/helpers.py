@@ -6,7 +6,16 @@ from math import gcd, lcm
 from hypothesis import strategies as st
 
 from borrays import diagrams
+from borrays.errors import IntegrityError
 from borrays.groupoid import seed_types, type_compose, type_inverse
+from borrays.homcount import (
+    DEFAULT_BUDGET,
+    HomClassCount,
+    _Budget,
+    _check_degree,
+    _compiled,
+    _kernel,
+)
 from borrays.labels import ALL_LABELS
 from borrays.presentations import (
     FinitePresentation,
@@ -215,6 +224,70 @@ def invariant_factors(mat):
             break
         ds.append(d)
     return [b // a for a, b in zip(ds, ds[1:])]
+
+
+def _unreduced_search(p, n, budget):
+    """(Sym(n), its homs) by one kernel call over Sym(n), nothing fixed."""
+    _check_degree(n)
+    budget = _Budget(budget)
+    sym = _kernel.symmetric_group(n)
+    return sym, budget.search(_compiled(p), sym, collect=True)[1], budget
+
+
+def unreduced_homs(p, n, budget=DEFAULT_BUDGET):
+    """Every homomorphism into Sym(n), by a search with no orbit split.
+
+    Each is a dict from generator to 0-based image tuple, in the kernel's
+    order.  Degree and budget are checked as in a count.
+    """
+    sym, homs, _ = _unreduced_search(p, n, budget)
+    return [{g: sym.perms[x] for g, x in zip(p.generators, hom)} for hom in homs]
+
+
+def transposition_orbit_count(homs, group):
+    """Orbits of the hom set under simultaneous conjugation by Sym(n).
+
+    ``homs`` are tuples of element indices of the symmetric group
+    ``group``.  Each orbit is closed under the adjacent transpositions
+    (i, i+1), which generate Sym(n); a conjugate outside ``homs`` raises
+    IntegrityError.
+    """
+    mul, perms = group.mul, group.perms
+    n = len(perms[0])
+    conjugations = []
+    for i in range(n - 1):
+        t = list(range(n))
+        t[i], t[i + 1] = t[i + 1], t[i]
+        t = perms.index(tuple(t))
+        conjugations.append([mul[mul[t][x]][t] for x in range(len(perms))])
+    hom_set = set(homs)
+    seen = set()
+    orbits = 0
+    for hom in homs:
+        if hom in seen:
+            continue
+        orbits += 1
+        stack = [hom]
+        seen.add(hom)
+        while stack:
+            cur = stack.pop()
+            for by in conjugations:
+                conj = tuple(map(by.__getitem__, cur))
+                if conj not in seen:
+                    if conj not in hom_set:
+                        raise IntegrityError("hom set is not conjugation-closed")
+                    seen.add(conj)
+                    stack.append(conj)
+    return orbits
+
+
+def unreduced_class_count(p, n, budget=DEFAULT_BUDGET):
+    """The class count by one unreduced search, every hom kept, and
+    :func:`transposition_orbit_count`; a :class:`HomClassCount` whose
+    nodes are those of the whole search tree."""
+    sym, homs, budget = _unreduced_search(p, n, budget)
+    return HomClassCount(n, len(homs), transposition_orbit_count(homs, sym),
+                         "enumerate", budget.spent)
 
 
 def greedy_order_oracle(generators, relators):

@@ -76,9 +76,18 @@ def classes(diagram, n, method=count_classes_burnside):
     return method(presentation(diagram), n).class_count
 
 
+def classes_by_both_methods(diagram, n):
+    """The class count, which enumeration and Burnside must agree on."""
+    p = presentation(diagram)
+    e, b = count_classes_enumerate(p, n), count_classes_burnside(p, n)
+    assert (e.class_count, e.total_homs) == (b.class_count, b.total_homs)
+    return e.class_count
+
+
 # ---------------------------------------------------------------------------
 
-@criterion(1, "single-block class counts into Sym(1..5) (and Sym(6) if deep)")
+@criterion(1, "single-block class counts into Sym(1..5) "
+              "(and Sym(6) by both methods if deep)")
 def test_criterion_1_single_block_table(deep):
     t0 = time.monotonic()
     eps3, a = builtin("eps3"), builtin("A")
@@ -88,11 +97,12 @@ def test_criterion_1_single_block_table(deep):
         assert classes(a, n) == want
     assert time.monotonic() - t0 < 60
     if deep:
-        assert classes(eps3, 6) == 901
-        assert classes(a, 6) == 1317
+        assert classes_by_both_methods(eps3, 6) == 901
+        assert classes_by_both_methods(a, 6) == 1317
 
 
-@criterion(2, "two-block product counts into Sym(4..5) (and Sym(6) if deep)")
+@criterion(2, "two-block product counts into Sym(4..5) "
+              "(and Sym(6) by both methods if deep)")
 def test_criterion_2_product_table(deep):
     t0 = time.monotonic()
     a = builtin("A")
@@ -104,7 +114,7 @@ def test_criterion_2_product_table(deep):
     assert time.monotonic() - t0 < 900
     if deep:
         for d, want in zip(products, (3111, 3255, 3525, 3105)):
-            assert classes(d, 6) == want
+            assert classes_by_both_methods(d, 6) == want
 
 
 @criterion(3, "Sym(4) counts separate the A block from the trivial block")

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from borrays import cli, diagrams, groupoid
 from borrays.homcount import (
     MAX_DEGREE,
-    MAX_ENUMERATE_DEGREE,
     count_classes_burnside,
     count_classes_enumerate,
 )
@@ -59,25 +58,28 @@ def test_homcount_requires_deep_for_sym6(capsys):
 
 @pytest.mark.parametrize("deep", [(), ("--deep",)])
 def test_homcount_degree_above_max_is_a_user_error(capsys, deep):
-    for sym in (MAX_DEGREE + 1, 10):
-        code, out, err = run(capsys, "homcount", "--expr", "A",
-                             "--sym", str(sym), *deep)
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert f"MAX_DEGREE = {MAX_DEGREE}" in err
+    for method in ("enumerate", "burnside", "both"):
+        for sym in (MAX_DEGREE + 1, 10):
+            code, out, err = run(capsys, "homcount", "--expr", "A",
+                                 "--sym", str(sym), "--method", method, *deep)
+            assert code == 1
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert f"MAX_DEGREE = {MAX_DEGREE}" in err
 
 
 @pytest.mark.parametrize("method", ["enumerate", "both"])
-def test_homcount_enumerate_refuses_sym7(capsys, method):
-    # Refused before the table of Sym(7) is built; Burnside keeps degree 7.
-    code, out, err = run(capsys, "homcount", "--expr", "eps3", "--sym", "7",
-                         "--deep", "--method", method)
+def test_homcount_enumerate_refuses_above_max_degree(capsys, method):
+    # Enumeration has no lower cap of its own: it refuses the degree that
+    # Burnside refuses, before the table of Sym(MAX_DEGREE + 1) is built.
+    code, out, err = run(capsys, "homcount", "--expr", "eps3",
+                         "--sym", str(MAX_DEGREE + 1), "--deep",
+                         "--method", method)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
-    assert f"MAX_ENUMERATE_DEGREE = {MAX_ENUMERATE_DEGREE}" in err
+    assert f"MAX_DEGREE = {MAX_DEGREE}" in err
 
 
 def test_homcount_budget_exhaustion(capsys):

@@ -15,13 +15,10 @@ from borrays.errors import BudgetExceededError, IntegrityError
 from borrays.homcount import (
     DEFAULT_BUDGET,
     MAX_DEGREE,
-    MAX_ENUMERATE_DEGREE,
     HomClassCount,
-    Permutation,
     count_classes_burnside,
     count_classes_enumerate,
     count_total,
-    enumerate_homs,
     kernel_name,
 )
 from borrays.homcount import (
@@ -30,6 +27,7 @@ from borrays.homcount import (
     _conjugation_orbits,
     _count_into,
     _kernel,
+    _orbit_count,
 )
 from borrays.presentations import FinitePresentation, presentation
 
@@ -157,14 +155,15 @@ def test_conjugation_orbits_of_sym_n_are_its_classes():
 
 
 def test_enumerate_homs_deterministic_and_valid():
+    # The unreduced oracle, which keeps the search's own order.
     p = presentation(builtin("eps3"))
-    homs = list(enumerate_homs(p, 3))
+    homs = helpers.unreduced_homs(p, 3)
     assert len(homs) == count_total(p, 3) == 36
-    assert homs == list(enumerate_homs(p, 3))
+    assert homs == helpers.unreduced_homs(p, 3)
     for hom in homs:
         assert set(hom) == set(p.generators)
         # relator x1 y1 z1 must map to the identity
-        x, y, z = (hom[g].zero_based() for g in ("x1", "y1", "z1"))
+        x, y, z = (hom[g] for g in ("x1", "y1", "z1"))
         composite = tuple(x[y[z[i]]] for i in range(3))
         assert composite == (0, 1, 2)
 
@@ -181,6 +180,29 @@ def test_enumerate_and_burnside_agree():
             assert e.class_count == b.class_count
             assert e.total_homs == b.total_homs
             assert (e.method, b.method) == ("enumerate", "burnside")
+
+
+def test_enumeration_matches_the_unreduced_oracle_on_blocks():
+    for word in (["A"], ["eps3"], ["A", "A"], ["A", "Abs"]):
+        p = presentation(concat(*map(builtin, word)))
+        for n in (3, 4):
+            e = count_classes_enumerate(p, n)
+            u = helpers.unreduced_class_count(p, n)
+            assert (e.total_homs, e.class_count) == (u.total_homs, u.class_count)
+
+
+def test_orbit_count_finds_orbits_and_refuses_an_open_set():
+    # Sym(3) in sorted order: 1, 2 and 5 are its transpositions, 3 and 4
+    # its 3-cycles.  The 3-cycle (0 1 2) has centralizer {0, 3, 4}.
+    sym = _kernel.symmetric_group(3)
+    singles = [(x,) for x in sym.elements]
+    assert _orbit_count(singles, sym.elements, sym) == 3
+    assert _orbit_count(singles, [0, 3, 4], sym) == 4
+    assert _orbit_count([(1, 2), (2, 5), (5, 1)], [0, 3, 4], sym) == 1
+    with pytest.raises(IntegrityError):
+        _orbit_count([(1,), (2,)], sym.elements, sym)
+    with pytest.raises(IntegrityError):
+        helpers.transposition_orbit_count([(1,), (2,)], sym)
 
 
 def test_budget_exceeded():
@@ -204,7 +226,7 @@ def test_budget_caps_the_whole_count():
 def test_budget_that_is_not_a_non_negative_int_is_refused(budget):
     p = presentation(builtin("A"))
     for method in (count_total, count_classes_burnside, count_classes_enumerate,
-                   enumerate_homs):
+                   helpers.unreduced_homs):
         with pytest.raises(ValueError, match="budget"):
             method(p, 3, budget=budget)
 
@@ -218,16 +240,9 @@ def test_hom_class_count_bounds():
         HomClassCount(3, 36, 5, "burnside")
 
 
-def test_permutation_validation():
-    Permutation((2, 1, 3))
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 3))
-    assert Permutation.from_zero_based((1, 0, 2)).images == (2, 1, 3)
-
-
 def test_degree_above_max_is_refused():
     p = presentation(builtin("A"))
-    for count in (count_total, enumerate_homs, count_classes_enumerate,
+    for count in (count_total, helpers.unreduced_homs, count_classes_enumerate,
                   count_classes_burnside):
         with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
             count(p, MAX_DEGREE + 1)
@@ -235,13 +250,13 @@ def test_degree_above_max_is_refused():
 
 def test_negative_degree_is_refused():
     p = presentation(builtin("A"))
-    for count in (count_total, enumerate_homs, count_classes_enumerate,
+    for count in (count_total, helpers.unreduced_homs, count_classes_enumerate,
                   count_classes_burnside):
         with pytest.raises(ValueError, match="degree -1 is negative"):
             count(p, -1)
     # Sym(0), the trivial group, keeps its answers.
     assert count_total(p, 0) == 1
-    assert len(list(enumerate_homs(p, 0))) == 1
+    assert len(helpers.unreduced_homs(p, 0)) == 1
     for count in (count_classes_enumerate, count_classes_burnside):
         r = count(p, 0)
         assert (r.total_homs, r.class_count) == (1, 1)
@@ -250,19 +265,24 @@ def test_negative_degree_is_refused():
 @pytest.mark.parametrize("n", [2.0, True])
 def test_degree_that_is_not_an_int_is_refused(n):
     p = presentation(builtin("A"))
-    for count in (count_total, enumerate_homs, count_classes_enumerate,
+    for count in (count_total, helpers.unreduced_homs, count_classes_enumerate,
                   count_classes_burnside):
         with pytest.raises(ValueError, match=f"degree {n!r} is not an int"):
             count(p, n)
 
 
-def test_enumeration_refuses_sym7():
+def test_enumeration_reaches_max_degree(deep):
+    # Enumeration keeps only one split term's homs at a time, so it has no
+    # degree cap of its own.  eps3 presents F2, and both of its levels are
+    # fixed by the split: no node is searched.
     p = presentation(builtin("eps3"))
-    assert MAX_ENUMERATE_DEGREE == MAX_DEGREE - 1
-    for count in (enumerate_homs, count_classes_enumerate):
-        with pytest.raises(ValueError, match=(
-                f"MAX_ENUMERATE_DEGREE = {MAX_ENUMERATE_DEGREE}")):
-            count(p, MAX_ENUMERATE_DEGREE + 1)
+    want = (MAX_DEGREE, factorial(MAX_DEGREE) ** 2, 5579, 0)
+    methods = (count_classes_enumerate, count_classes_burnside)
+    for method in methods if deep else methods[:1]:
+        r = method(p, MAX_DEGREE)
+        assert (r.n, r.total_homs, r.class_count, r.nodes) == want
+    with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+        count_classes_enumerate(p, MAX_DEGREE + 1)
 
 
 def test_kernel_name_reports_a_kernel():
@@ -320,8 +340,10 @@ def test_kernel_budget_boundary(collect):
 
 @pytest.mark.parametrize("method, p, n, nodes", [
     (count_classes_burnside, presentation(builtin("A")), 5, 20_693),
-    (count_classes_enumerate,
+    (helpers.unreduced_class_count,
      presentation(concat(builtin("A"), builtin("A"))), 4, 30_552),
+    (count_classes_enumerate,
+     presentation(concat(builtin("A"), builtin("A"))), 4, 2_400),
 ])
 def test_budget_boundary_of_a_count(method, p, n, nodes):
     assert method(p, n, budget=nodes).nodes == nodes
@@ -700,7 +722,12 @@ def test_search_tree_is_pinned():
     assert count_classes_burnside(presentation(a), 5).nodes == 20_693
     assert count_classes_burnside(presentation(a_as), 5).nodes == 49_474
     aa = presentation(concat(a, a))
-    assert count_classes_enumerate(aa, 4).nodes == 30_552
+    assert helpers.unreduced_class_count(aa, 4).nodes == 30_552
+    # Enumeration searches count_total's tree: the split's terms, once each.
+    assert count_classes_enumerate(aa, 4).nodes == 2_400
+    assert count_total(aa, 4, budget=2_400) == 1056
+    with pytest.raises(BudgetExceededError):
+        count_total(aa, 4, budget=2_399)
 
 
 def test_a_into_sym7_is_pinned(deep):
@@ -759,3 +786,16 @@ def test_orbit_split_matches_unsplit_search(relators, rank, n):
             x for x, q in enumerate(sym.perms) if _commutes(q, rep))
         got = _count_into(_compiled(p), centralizer, _Budget(DEFAULT_BUDGET))
         assert got == _unsplit(p, n, centralizer)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rand_words3, min_size=0, max_size=3),
+       st.integers(1, 3), st.integers(0, 3))
+def test_enumeration_matches_the_unreduced_oracle(relators, rank, n):
+    gens = ("a", "b", "c")[:rank]
+    relators = [tuple(letter for letter in rel if letter[0] in gens)
+                for rel in relators]
+    p = FinitePresentation(gens, tuple(relators))
+    e = count_classes_enumerate(p, n)
+    u = helpers.unreduced_class_count(p, n)
+    assert (e.total_homs, e.class_count) == (u.total_homs, u.class_count)
