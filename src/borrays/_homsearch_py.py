@@ -9,9 +9,9 @@ Cayley table once per count: ``mul[a][b]`` is the index of the product
 ``a``'s inverse.  A row is a tuple for n <= 5, which the interpreter
 subscripts on its fast path, and an ``array('H')`` above.  A subgroup
 (Sym(n) itself, or a centralizer) shares the table and adds its elements
-in ascending order and a 0/1 member tuple.  The table holds (n!)^2
-entries, two bytes each in arrays: 1 MB for Sym(6), 51 MB for Sym(7),
-and 3.3 GB for Sym(8), which is why ``homcount.MAX_DEGREE`` is 7.
+in ascending order.  The table holds (n!)^2 entries, two bytes each in
+arrays: 1 MB for Sym(6), 51 MB for Sym(7), and 3.3 GB for Sym(8), which
+is why ``homcount.MAX_DEGREE`` is 7.
 
 The cascade is compiled once per presentation.  A relator is checked as
 soon as all of its generators are assigned, and a relator in which
@@ -41,17 +41,18 @@ runs its solves and checks as straight-line ``mul[..][..]`` expressions,
 stores into ``val`` only the registers that a later level (or
 ``collect``) reads, and yields on each success.  :func:`live_plan`, the
 one backward liveness pass, drops dead solves and maps each register to
-the last level that reads it, which decides every inverse and store.  A
-solved value that a proper subgroup may not contain is checked for
-membership, so in a centralizer every solve stays; in Sym(n) itself the
-check cannot fail, so a solve that nothing reads is dropped.
+the last level that reads it, which decides every inverse and store.
+Every value a level holds is a candidate, a fixed value, or an inverse
+or product of these, all elements of the group searched; a subgroup is
+closed under both, so a solved value needs no membership check, and a
+solve that nothing reads is dropped in every group.
 
 The source of a level holds only fixed text and local names numbered in
 order of first use; the ``val`` indices it loads and stores are arguments
 of the factory that source defines.  So levels of one *shape* share one
 compiled factory: a 1000-block word has a few dozen shapes.  The bounded
 cache :func:`_factory` maps source to factory and holds no plan; the
-functions for one plan, per mode, hang on the plan itself.
+functions for one plan, per ``collect`` mode, hang on the plan itself.
 
 :func:`search_homs` runs every level in one stack of these generators:
 the pre-cascade over the one candidate ``0``, the orbit split's fixed
@@ -77,23 +78,23 @@ class Group:
     perms: Sym(n)'s permutations as 0-based image tuples, sorted.
     mul: ``mul[a][b]`` is a·b's index; tuple rows if n <= 5, else arrays.
     inv: ``inv[a]`` is the index of a^-1.
-    elements: this subgroup's element indices, ascending.
-    member: ``member[a]`` is 1 iff ``a`` is an element, as a tuple.
+    elements: this subgroup's element indices, ascending; see
+        :meth:`subgroup` for why they must form a subgroup.
     """
 
-    __slots__ = ("perms", "mul", "inv", "elements", "member", "__weakref__")
+    __slots__ = ("perms", "mul", "inv", "elements", "__weakref__")
 
-    def __init__(self, perms, mul, inv, elements, member):
+    def __init__(self, perms, mul, inv, elements):
         self.perms, self.mul, self.inv = perms, mul, inv
-        self.elements, self.member = elements, member
+        self.elements = elements
 
     def subgroup(self, elements):
-        """The subgroup with these elements, given in ascending order."""
-        elements = tuple(elements)
-        member = [0] * len(self.perms)
-        for x in elements:
-            member[x] = 1
-        return Group(self.perms, self.mul, self.inv, elements, tuple(member))
+        """The subgroup with these elements, given in ascending order.
+
+        The elements must form a subgroup (a centralizer, say), since the
+        search never checks that a solved value is one of them.
+        """
+        return Group(self.perms, self.mul, self.inv, tuple(elements))
 
 
 def symmetric_group(n):
@@ -122,7 +123,7 @@ def symmetric_group(n):
                 mul[b] = as_row(itemgetter(*mul[a])(left))
                 reached.append(b)
     inv = tuple(row.index(0) for row in mul)
-    return Group(perms, tuple(mul), inv, range(len(perms)), (1,) * len(perms))
+    return Group(perms, tuple(mul), inv, range(len(perms)))
 
 
 class Level:
@@ -151,7 +152,7 @@ class Plan:
     pre: the :class:`Level` of steps that close before any assignment.
     levels: one :class:`Level` per branching generator, in branching order.
     kernels: the generated level functions, built on first use, per
-        ``(full, collect)`` mode of :func:`search_homs`.
+        ``collect`` mode of :func:`search_homs`.
     """
 
     __slots__ = ("num_gens", "pre", "levels", "kernels", "__weakref__")
@@ -274,7 +275,7 @@ def compile_plan(num_gens, relators, names):
     return Plan(num_gens, pre, tuple(levels))
 
 
-def live_plan(plan, full, collect):
+def live_plan(plan, collect):
     """The plan's levels, the pre-cascade first, without dead solves.
 
     Returns ``(levels, last)``.  ``last`` maps each register that a live
@@ -282,10 +283,9 @@ def live_plan(plan, full, collect):
     when ``collect`` is set, each generator's image counts as read at
     ``len(levels)``, after every level.
 
-    A solve is dead when no later step reads its value or its inverse.
-    Dead solves go only when ``full``: the group is all of Sym(n), so a
-    solved value is always a member.  In a proper subgroup every solve
-    stays for its membership check.  Every check stays.
+    A solve is dead when no later step reads its value or its inverse,
+    and it goes: a solved value lies in the searched group, whichever
+    subgroup that is, so it needs no membership check.  Every check stays.
     """
     levels = (plan.pre,) + plan.levels
     last = dict.fromkeys(range(0, 2 * plan.num_gens, 2), len(levels)) if collect else {}
@@ -296,7 +296,7 @@ def live_plan(plan, full, collect):
                 last.setdefault(r, i)
         solves = []
         for word, reg in reversed(level.solves):
-            if not full or reg in last or reg + 1 in last:
+            if reg in last or reg + 1 in last:
                 for r in word:
                     last.setdefault(r, i)
                 solves.append((word, reg))
@@ -309,7 +309,7 @@ def live_plan(plan, full, collect):
 _CHUNK = 32
 
 
-def _level_source(level, i, last, full):
+def _level_source(level, i, last):
     """Source of level ``i``'s generator factory, and the factory's arguments.
 
     last: the :func:`live_plan` map from each register to the last level
@@ -365,8 +365,6 @@ def _level_source(level, i, last, full):
     for word, reg in level.solves:
         value = product(word)
         lines.append(f"{local(reg)} = {value}")
-        if not full:
-            lines.append(f"if not member[{names[reg]}]: continue")
         inverse(reg)
     for word, reg in level.checks:
         lines.append(f"if {product(word)} != {name(reg)}: continue")
@@ -375,7 +373,7 @@ def _level_source(level, i, last, full):
     args = [f"i{k}" for k in range(len(loads))] + [f"o{k}" for k in range(len(stores))]
     source = "\n".join([
         f"def factory({', '.join(args)}):",
-        "    def level(val, mul, inv, member, cands):",
+        "    def level(val, mul, inv, cands):",
         *(f"        {names[reg]} = val[i{k}]" for k, reg in enumerate(loads)),
         *(f"        {row} = mul[{names[reg]}]" for reg, row in rows.items()),
         f"        {loop}",
@@ -394,19 +392,18 @@ def _factory(source):
     return namespace["factory"]
 
 
-def _level_functions(plan, full, collect):
+def _level_functions(plan, collect):
     """One generator function per level, the pre-cascade first.
 
-    Built once per plan and mode, and kept on the plan.
+    Built once per plan and ``collect`` mode, and kept on the plan.
     """
-    key = (full, collect)
-    if key not in plan.kernels:
-        levels, last = live_plan(plan, full, collect)
-        plan.kernels[key] = tuple(
+    if collect not in plan.kernels:
+        levels, last = live_plan(plan, collect)
+        plan.kernels[collect] = tuple(
             _factory(source)(*args)
-            for source, args in (_level_source(level, i, last, full)
+            for source, args in (_level_source(level, i, last)
                                  for i, level in enumerate(levels)))
-    return plan.kernels[key]
+    return plan.kernels[collect]
 
 
 def search_homs(plan, group, fixed, budget, collect):
@@ -426,8 +423,8 @@ def search_homs(plan, group, fixed, budget, collect):
 
     Returns (count, homs or None, nodes).
     """
-    mul, inv, member, elements = group.mul, group.inv, group.member, group.elements
-    functions = _level_functions(plan, len(elements) == len(group.perms), collect)
+    mul, inv, elements = group.mul, group.inv, group.elements
+    functions = _level_functions(plan, collect)
     val = [0] * (2 * plan.num_gens)
     homs = [] if collect else None
     searched = len(fixed) + 1
@@ -444,7 +441,7 @@ def search_homs(plan, group, fixed, budget, collect):
                 nodes += size
                 if nodes > budget:
                     raise BudgetExceededError(budget)
-            it = its[depth] = functions[depth](val, mul, inv, member, cands[depth])
+            it = its[depth] = functions[depth](val, mul, inv, cands[depth])
         if depth < last and next(it, False):
             depth += 1
             continue

@@ -92,14 +92,18 @@ def _cmd_homcount(args, out):
             raise BudgetExceededError(args.budget) from None
         spent += r.nodes
         results.append(r)
-    if len(results) == 2 and (
-        results[0].class_count != results[1].class_count
-        or results[0].total_homs != results[1].total_homs
-    ):
-        raise IntegrityError(
-            f"methods disagree: enumerate {results[0].class_count} vs "
-            f"burnside {results[1].class_count}"
-        )
+    if len(results) == 2:
+        e, b = results
+        differ = " and ".join(
+            name for name, x, y in (("classes", e.class_count, b.class_count),
+                                    ("total", e.total_homs, b.total_homs))
+            if x != y)
+        if differ:
+            raise IntegrityError(
+                f"methods disagree on {differ}: enumerate classes "
+                f"{e.class_count} total {e.total_homs} vs burnside classes "
+                f"{b.class_count} total {b.total_homs}"
+            )
     for r in results:
         if args.json:
             out.write(json.dumps(

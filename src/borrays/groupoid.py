@@ -100,6 +100,11 @@ def _invert(t):
     return (t[1], t[0], t[2], t[3], _INVERSE[t[4]])
 
 
+def _encode(t: DiffeoType):
+    return (ALL_LABELS.index(t.domain), ALL_LABELS.index(t.codomain),
+            t.orientation, t.boundary, ALL_PERMS.index(t.perm))
+
+
 def _decode(t):
     d, c, e, b, p = t
     return DiffeoType(ALL_LABELS[d], ALL_LABELS[c], e, b, ALL_PERMS[p])
@@ -107,20 +112,14 @@ def _decode(t):
 
 def all_types():
     """The full set of 384 candidate types."""
-    return {
-        DiffeoType(d, c, e, b, p)
-        for d in ALL_LABELS
-        for c in ALL_LABELS
-        for e in (1, -1)
-        for b in (1, -1)
-        for p in ALL_PERMS
-    }
+    return {_decode((d, c, e, b, p))
+            for d in range(4) for c in range(4) for e in (1, -1)
+            for b in (1, -1) for p in range(len(ALL_PERMS))}
 
 
 def type_inverse(t: DiffeoType) -> DiffeoType:
     """Swap domain and codomain and invert the permutation."""
-    return DiffeoType(t.codomain, t.domain, t.orientation, t.boundary,
-                      ALL_PERMS[_INVERSE[ALL_PERMS.index(t.perm)]])
+    return _decode(_invert(_encode(t)))
 
 
 def type_compose(beta: DiffeoType, alpha: DiffeoType):
@@ -131,17 +130,12 @@ def type_compose(beta: DiffeoType, alpha: DiffeoType):
     """
     if alpha.codomain != beta.domain:
         return None
-    return DiffeoType(
-        alpha.domain,
-        beta.codomain,
-        alpha.orientation * beta.orientation,
-        alpha.boundary * beta.boundary,
-        _perm_compose(beta.perm, alpha.perm),
-    )
+    return _decode(_compose(_encode(beta), _encode(alpha)))
 
 
 def identity_type(block: BlockLabel) -> DiffeoType:
-    return DiffeoType(block, block, 1, 1, IDENTITY_PERM)
+    i = ALL_LABELS.index(block)
+    return _decode((i, i, 1, 1, _ID))
 
 
 def seed_types():

@@ -29,12 +29,12 @@ calls; a searched level spends one node per element of the group when it
 is entered, so the node totals are those of trying candidates one by
 one.  The search runs in the pure-Python kernel
 :mod:`borrays._homsearch_py`, on group elements as indices into sorted
-Sym(n) with a Cayley table, built once per count: for Sym(n), and per
-centralizer as a member set over Sym(n)'s table.  Each count compiles
-its presentation once into a search plan (:func:`_compiled`): the
-relators solved or checked at each branching generator, in a branching
-order the plan chooses itself.  The kernel runs each level of the plan as
-generated Python code; in Sym(n) itself it skips the solves whose values
+Sym(n) with a Cayley table, built once per count for Sym(n); a
+centralizer is the list of its elements over that table.  Each count
+compiles its presentation once into a search plan (:func:`_compiled`):
+the relators solved or checked at each branching generator, in a
+branching order the plan chooses itself.  The kernel runs each level of
+the plan as generated Python code, and skips the solves whose values
 nothing reads.  The orbit split's two fixed images are values for the
 plan's first two levels.  Degrees above ``MAX_DEGREE`` are refused,
 because the table of Sym(n) holds (n!)^2 entries.

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -356,6 +357,29 @@ def test_groupoid_integrity_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "groupoid")
     assert code == 3
     assert "integrity" in err.lower()
+
+
+@pytest.mark.parametrize("field, shift, want", [
+    ("class_count", 1, "classes: enumerate classes 47 total 672 vs "
+                       "burnside classes 48 total 672"),
+    ("total_homs", 24, "total: enumerate classes 47 total 672 vs "
+                       "burnside classes 47 total 696"),
+])
+def test_homcount_methods_disagree_exit_code(capsys, monkeypatch, field,
+                                             shift, want):
+    # A into Sym(4) has 47 classes and 672 homomorphisms by both methods;
+    # a skewed Burnside result must be named by the quantity that differs.
+    burnside = cli.count_classes_burnside
+
+    def skewed(*args, **kwargs):
+        r = burnside(*args, **kwargs)
+        return dataclasses.replace(r, **{field: getattr(r, field) + shift})
+
+    monkeypatch.setattr(cli, "count_classes_burnside", skewed)
+    code, out, err = run(capsys, "homcount", "--expr", "A", "--sym", "4",
+                         "--method", "both")
+    assert (code, out) == (3, "")
+    assert err == f"internal integrity error: methods disagree on {want}\n"
 
 
 def test_classify(capsys):

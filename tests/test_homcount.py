@@ -292,15 +292,12 @@ def test_kernel_name_reports_a_kernel():
 # ---------------------------------------------------------------------------
 # The search kernel alone
 
-def _search(n, num_gens, relators, candidates=None, budget=DEFAULT_BUDGET,
-            collect=True):
-    """One kernel call, indices as names; candidates default to Sym(n).
+def _search(n, num_gens, relators, budget=DEFAULT_BUDGET, collect=True):
+    """One kernel call into Sym(n), indices as names.
 
     Homs come back as tuples of permutations, not of element indices.
     """
     group = _kernel.symmetric_group(n)
-    if candidates is not None:
-        group = group.subgroup(sorted(group.perms.index(q) for q in candidates))
     plan = _kernel.compile_plan(num_gens, relators, range(num_gens))
     count, homs, nodes = _kernel.search_homs(plan, group, (), budget, collect)
     if homs is not None:
@@ -358,14 +355,34 @@ _kernel_relators = st.lists(
 ).map(tuple)
 
 
+def _subgroups(n, sym):
+    """Element lists of subgroups of ``sym``, Sym(n): the cyclic group of
+    an n-cycle, the alternating group, and every centralizer."""
+    rotations = {tuple((i + k) % n for i in range(n)) for k in range(n)}
+    out = [[x for x, q in enumerate(sym.perms) if q in rotations],
+           [x for x, q in enumerate(sym.perms)
+            if (n - len(_cycle_type(q))) % 2 == 0]]
+    out += [c for _, _, c in _conjugation_orbits(sym.elements, sym)]
+    return out
+
+
 @settings(max_examples=200, deadline=None)
-@given(_kernel_relators, st.integers(2, 3))
+@given(_kernel_relators, st.integers(2, 4))
 def test_kernel_restricted_candidates_filter_full_search(relators, n):
-    # the cyclic subgroup generated by an n-cycle: the n rotations
-    group = {tuple((i + k) % n for i in range(n)) for k in range(n)}
-    count, _, _ = _search(n, 3, relators, candidates=sorted(group))
-    _, homs, _ = _search(n, 3, relators)
-    assert count == sum(all(x in group for x in hom) for hom in homs)
+    # A search into a subgroup finds exactly the homs of the full search
+    # whose images all lie in it.  The kernel checks no solved value for
+    # membership, so this fails if one can ever leave the group searched.
+    sym = _kernel.symmetric_group(n)
+    plan = _kernel.compile_plan(3, relators, range(3))
+    _, homs, _ = _kernel.search_homs(plan, sym, (), DEFAULT_BUDGET, True)
+    subgroups = _subgroups(n, sym)
+    assert len(subgroups) == 2 + {2: 2, 3: 3, 4: 5}[n]  # partitions of n
+    for elements in subgroups:
+        members = set(elements)
+        assert {sym.mul[a][b] for a in elements for b in elements} == members
+        count, _, _ = _kernel.search_homs(plan, sym.subgroup(elements), (),
+                                          DEFAULT_BUDGET, False)
+        assert count == sum(all(x in members for x in hom) for hom in homs)
 
 
 def _relator_value(relator, images, n):
@@ -466,7 +483,6 @@ def test_small_tables_are_tuples_and_subgroups_share_them():
     for n in range(7):
         sym = _kernel.symmetric_group(n)
         assert type(sym.perms) is type(sym.mul) is type(sym.inv) is tuple
-        assert type(sym.member) is tuple and set(sym.member) == {1}
         assert sym.elements == range(len(sym.perms))
         # Tuple rows from Sym(6) on would cost four times the memory.
         if n <= 5:
@@ -474,12 +490,13 @@ def test_small_tables_are_tuples_and_subgroups_share_them():
         else:
             assert all(type(row) is array and row.typecode == "H"
                        for row in sym.mul)
-        sub = sym.subgroup(x for x in sym.elements if x % 2 == 0)
+        # The centralizer of the last class representative.
+        centralizer = _conjugation_orbits(sym.elements, sym)[-1][2]
+        sub = sym.subgroup(centralizer)
         assert sub.mul is sym.mul and sub.inv is sym.inv
         assert sub.perms is sym.perms
-        assert type(sub.elements) is type(sub.member) is tuple
-        assert sub.elements == tuple(range(0, len(sym.perms), 2))
-        assert sub.member == tuple((x + 1) % 2 for x in range(len(sym.perms)))
+        assert type(sub.elements) is tuple
+        assert sub.elements == tuple(centralizer)
 
 
 def test_plan_shape_of_a_and_eps3():
@@ -554,30 +571,26 @@ def test_plan_of_a_1000_block_word_is_pinned():
                           "x108", "x110", "x98", "x96"]
 
 
-def test_live_plan_drops_dead_solves_only_in_sym_n_counts():
+def test_live_plan_drops_dead_solves_unless_collected():
     p = presentation(builtin("A"))
     plan = _compiled(p)
 
     def solved(level):
         return [p.generators[reg // 2] for _, reg in level.solves]
 
-    # Only z1 and y1 feed the check x1 y1 z1.
-    last = _kernel.live_plan(plan, full=True, collect=False)[0][-1]
-    assert solved(last) == ["z1", "y1"]
-    assert last.checks == plan.levels[-1].checks and len(last.checks) == 1
-    # In a centralizer each solve keeps its membership check, and a
-    # collected hom needs every image.
-    for full, collect in ((False, False), (False, True), (True, True)):
-        last = _kernel.live_plan(plan, full, collect)[0][-1]
-        assert solved(last) == ["z3", "z1", "y1", "x3"]
-        assert last.checks == plan.levels[-1].checks
+    # Only z1 and y1 feed the check x1 y1 z1, while a collected hom needs
+    # every image.
+    for collect, want in ((False, ["z1", "y1"]),
+                          (True, ["z3", "z1", "y1", "x3"])):
+        last = _kernel.live_plan(plan, collect)[0][-1]
+        assert solved(last) == want
+        assert last.checks == plan.levels[-1].checks and len(last.checks) == 1
     # The levels are the pre-cascade (0), x2, y2 and z2 (3).  y2's inverse
     # is read last at y2's own level unless the z3 solve stays, and a
     # collected image counts as read after every level.
     y2_inv, x3 = 2 * p.generators.index("y2") + 1, 2 * p.generators.index("x3")
-    for full, collect, want in ((True, False, (2, -1)), (False, False, (3, -1)),
-                                (True, True, (3, 4))):
-        levels, last = _kernel.live_plan(plan, full, collect)
+    for collect, want in ((False, (2, -1)), (True, (3, 4))):
+        levels, last = _kernel.live_plan(plan, collect)
         assert len(levels) == 4
         assert (last[y2_inv], last.get(x3, -1)) == want
 
@@ -608,7 +621,9 @@ def test_long_relators_compile():
             == count_classes_burnside(p(1), 3).class_count == 3)
 
 
-def test_no_plan_outlives_its_count(monkeypatch):
+@pytest.mark.parametrize("count", [
+    count_total, count_classes_enumerate, count_classes_burnside])
+def test_no_plan_outlives_its_count(monkeypatch, count):
     seen = []
     search = _kernel.search_homs
 
@@ -617,7 +632,7 @@ def test_no_plan_outlives_its_count(monkeypatch):
         return search(plan, group, *args)
 
     monkeypatch.setattr(_kernel, "search_homs", spy)
-    count_classes_burnside(presentation(builtin("A")), 4)
+    count(presentation(builtin("A")), 4)
     gc.collect()
     assert seen and all(plan() is None and group() is None
                         for plan, group in seen)
@@ -646,7 +661,7 @@ def test_deep_plans_need_no_recursion():
 
 def test_generated_level_code_is_pinned(monkeypatch):
     # Every (source, args) pair the kernel generates for these plans, per
-    # mode, the pre-cascade first.  A kernel refactor that keeps this
+    # collect mode, the pre-cascade first.  A kernel refactor that keeps this
     # digest runs the same code on the same registers.
     words = [["A"], ["A", "A"], ["A", "Ab"], ["A", "As"], ["A", "Abs"],
              ["eps3"], ["dirac"]]
@@ -667,12 +682,11 @@ def test_generated_level_code_is_pinned(monkeypatch):
         blocks = [builtin(b) for b in word]
         plan = _compiled(presentation(
             concat(*blocks) if len(blocks) > 1 else blocks[0]))
-        for full in (True, False):
-            for collect in (True, False):
-                _kernel._level_functions(plan, full, collect)
-    assert len(pairs) == 3296
+        for collect in (True, False):
+            _kernel._level_functions(plan, collect)
+    assert len(pairs) == 1648
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
-        "0c71c3cff1b806d176812cc8dabfcfcf4fc349ad856de7f3c5aa591ff5939d62")
+        "26835269d7a1fc29f0ec8f4aa1a7ae95547f6d011136084066da5432b0a09ee2")
 
 
 def _sym3_search(collect):
