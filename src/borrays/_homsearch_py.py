@@ -54,10 +54,21 @@ compiled factory: a 1000-block word has a few dozen shapes.  The bounded
 cache :func:`_factory` maps source to factory and holds no plan; the
 functions for one plan, per ``collect`` mode, hang on the plan itself.
 
-:func:`search_homs` runs every level in one stack of these generators:
-the pre-cascade over the one candidate ``0``, the orbit split's fixed
-levels over their one fixed value each, and the searched levels over the
-group's elements.  Only the searched levels count nodes.
+Every Wirtinger crossing relator is cyclically ``a u b^-1 u^-1``, so it
+makes ``a`` and ``b`` conjugate in the presented group, and
+:func:`compile_plan` joins such generators by union-find.  A level whose
+generator is conjugate to one known before it (``Level.conj``) can only
+take a value in the conjugacy class of that known value in the group
+searched: ``a = w b w^-1`` gives ``phi(a) = phi(w) phi(b) phi(w)^-1``
+with ``phi(w)`` in the group, Sym(n) or a centralizer alike.
+
+:func:`search_homs` runs all the terms of one group's orbit split in one
+stack of these generators: the pre-cascade over the one candidate ``0``,
+the fixed levels over their one fixed value each, rerun only from the
+first whose value changed since the last term, and the searched levels
+over the group's elements, or over a known conjugate's class when the
+caller gives the class lookup.  A node is one candidate tried at a
+searched level; fixed levels count none.
 """
 
 from array import array
@@ -122,7 +133,9 @@ def symmetric_group(n):
             if mul[b] is None:
                 mul[b] = as_row(itemgetter(*mul[a])(left))
                 reached.append(b)
-    inv = tuple(row.index(0) for row in mul)
+    # a^-1 maps i to the position of i in a.
+    points = range(n)
+    inv = tuple([index[tuple(map(p.index, points))] for p in perms])
     return Group(perms, tuple(mul), inv, range(len(perms)))
 
 
@@ -136,12 +149,15 @@ class Level:
         ``register``, a generator's image, whose inverse goes to
         ``register + 1``; a check requires it to equal ``register``'s
         value.
+    conj: the register of a generator known before this level and
+        conjugate to ``gen`` in the presented group, or None.
     """
 
-    __slots__ = ("gen", "solves", "checks")
+    __slots__ = ("gen", "solves", "checks", "conj")
 
-    def __init__(self, gen, solves, checks):
+    def __init__(self, gen, solves, checks, conj=None):
         self.gen, self.solves, self.checks = gen, solves, checks
+        self.conj = conj
 
 
 class Plan:
@@ -160,6 +176,31 @@ class Plan:
     def __init__(self, num_gens, pre, levels):
         self.num_gens, self.pre, self.levels = num_gens, pre, levels
         self.kernels = {}
+
+
+def _conjugate_pair(rel):
+    """(a, b) if ``rel`` is cyclically ``a^e u b^-e u^-1``, else None.
+
+    Such a relator says ``a^e = u b^e u^-1``, so ``a`` and ``b`` are
+    conjugate in the presented group.  Around the letter of ``a``, the
+    letters at distance ``j`` on either side are inverse for ``j`` below
+    half the length, and the letter at half the length is ``b^-e``.
+    """
+    size = len(rel)
+    if size % 2:
+        return None
+    half = size // 2
+    for i in range(half):
+        (a, e), (b, f) = rel[i], rel[i + half]
+        if e != -f:
+            continue
+        for j in range(1, half):
+            g, d = rel[i - j]
+            if rel[(i + j) % size] != (g, -d):
+                break
+        else:
+            return a, b
+    return None
 
 
 def compile_plan(num_gens, relators, names):
@@ -181,7 +222,26 @@ def compile_plan(num_gens, relators, names):
     The least key is taken from a heap that skips entries of known
     generators and keys since replaced, so each level branches on the
     generator a full re-ranking would choose, and the plan is the same.
+
+    Relators that are cyclically ``a u b^-1 u^-1``, as every Wirtinger
+    crossing relator is, join ``a`` and ``b`` in one conjugacy component
+    (union-find).  A level whose generator shares a component with a
+    generator already known records the first of these as ``conj``.
     """
+    root = list(range(num_gens))
+
+    def find(g):
+        while root[g] != g:
+            root[g] = g = root[root[g]]
+        return g
+
+    for rel in relators:
+        pair = _conjugate_pair(rel)
+        if pair:
+            root[find(pair[0])] = find(pair[1])
+    component = [find(g) for g in range(num_gens)]
+    first = {}  # component -> the first of its generators to become known
+
     occ = [[] for _ in range(num_gens)]
     for ri, rel in enumerate(relators):
         for g, _ in rel:
@@ -193,6 +253,7 @@ def compile_plan(num_gens, relators, names):
 
     def assign(g, queue):
         known[g] = True
+        first.setdefault(component[g], g)
         touched.extend(occ[g])
         for ri in occ[g]:
             unassigned[ri] -= 1
@@ -201,8 +262,10 @@ def compile_plan(num_gens, relators, names):
 
     def level(gen, queue):
         """Replay the propagation that follows assigning ``gen``."""
-        solves, checks = [], []
+        solves, checks, conj = [], [], None
         if gen is not None:
+            if component[gen] in first:
+                conj = 2 * first[component[gen]]
             assign(gen, queue)
         while queue:
             ri = queue.pop()
@@ -221,7 +284,7 @@ def compile_plan(num_gens, relators, names):
                 assign(g, queue)
             elif rel:  # all but the last letter multiply to its inverse
                 checks.append((tuple(regs[:-1]), regs[-1] ^ 1))
-        return Level(gen, tuple(solves), tuple(checks))
+        return Level(gen, tuple(solves), tuple(checks), conj)
 
     def rank(g):
         """Branching key of unknown ``g`` and the relators it read.
@@ -286,11 +349,14 @@ def live_plan(plan, collect):
     A solve is dead when no later step reads its value or its inverse,
     and it goes: a solved value lies in the searched group, whichever
     subgroup that is, so it needs no membership check.  Every check stays.
+    A level reads its ``conj`` register on entry, so that value is stored.
     """
     levels = (plan.pre,) + plan.levels
     last = dict.fromkeys(range(0, 2 * plan.num_gens, 2), len(levels)) if collect else {}
     out = []
     for i, level in reversed(tuple(enumerate(levels))):
+        if level.conj is not None:
+            last.setdefault(level.conj, i)
         for word, reg in level.checks:
             for r in (*word, reg):
                 last.setdefault(r, i)
@@ -300,7 +366,8 @@ def live_plan(plan, collect):
                 for r in word:
                     last.setdefault(r, i)
                 solves.append((word, reg))
-        out.append(Level(level.gen, tuple(reversed(solves)), level.checks))
+        out.append(Level(level.gen, tuple(reversed(solves)), level.checks,
+                         level.conj))
     return tuple(reversed(out)), last
 
 
@@ -406,50 +473,100 @@ def _level_functions(plan, collect):
     return plan.kernels[collect]
 
 
-def search_homs(plan, group, fixed, budget, collect):
+def search_homs(plan, group, terms, budget, collect, classes=None):
     """Count (and optionally collect) the homs a plan accepts into ``group``.
 
     plan: a :func:`compile_plan` result.
-    group: a :class:`Group`; every generator ranges over its elements.
-    fixed: elements of ``group`` (indices) for the plan's first
-        ``len(fixed)`` levels, which are not branched and count no nodes.
+    group: a :class:`Group`; every image is one of its elements.
+    terms: ``(fixed, weight)`` pairs, such as the orbit split's terms.
+        ``fixed`` holds elements of ``group`` (indices) for the plan's
+        first ``len(fixed)`` levels, the same number in every term; these
+        levels are not branched and count no nodes.  A term's extensions
+        count ``weight`` times.  A term reruns only the fixed levels from
+        the first whose value differs from the term before.
     budget: cap on candidate assignments tried (nodes).  A searched
-        level always tries every element of the group, so it adds them
-        all to the nodes when entered and raises BudgetExceededError once
-        the total passes the budget.  The totals, and which budgets
-        raise, are those of counting the candidates one at a time.
-    collect: if true, also return the list of homs (tuples of element
-        indices indexed by generator), in enumeration order.
+        level adds all of its candidates to the nodes when entered and
+        raises BudgetExceededError once the total passes the budget.  The
+        totals, and which budgets raise, are those of counting the
+        candidates one at a time.
+    collect: if true, also return the homs, one list per term: tuples
+        of element indices indexed by generator, in enumeration order.
+    classes: None, or the group's conjugacy classes as a lookup:
+        ``classes[x]`` is the class of each element ``x`` of ``group``, one
+        shared sequence per class.  Then a level whose generator has a
+        ``conj`` tries only the class of that register's value, and a
+        fixed value outside it ends the term.  Without it every searched
+        level tries every element.
 
-    Returns (count, homs or None, nodes).
+    A node is one candidate tried: an element of the group, or of a
+    known conjugate's class, which holds every value the generator can
+    take (see the module docstring).
+
+    Returns (sum of weight x extensions over the terms, homs or None,
+    nodes).
     """
     mul, inv, elements = group.mul, group.inv, group.elements
     functions = _level_functions(plan, collect)
+    conj = (None,) * len(functions)
+    if classes is not None:
+        conj = (None, *(level.conj for level in plan.levels))
     val = [0] * (2 * plan.num_gens)
     homs = [] if collect else None
-    searched = len(fixed) + 1
-    cands = [(0,), *((x,) for x in fixed)]
-    cands += [elements] * (len(functions) - searched)
-    size = len(elements)
     last = len(functions) - 1
     its = [None] * len(functions)
-    depth = count = nodes = 0
-    while depth >= 0:
-        it = its[depth]
-        if it is None:
-            if depth >= searched:
-                nodes += size
-                if nodes > budget:
-                    raise BudgetExceededError(budget)
-            it = its[depth] = functions[depth](val, mul, inv, cands[depth])
-        if depth < last and next(it, False):
+    count = nodes = 0
+
+    def leaves(it):
+        if collect:
+            found = [tuple(val[::2]) for _ in it]  # each success yields True
+            homs[-1].extend(found)
+            return len(found)
+        return sum(it)
+
+    # prev: the last term run, as the pre-cascade's candidate 0 and its
+    # fixed values; its levels below ``ok`` hold their values in ``val``,
+    # and ``dead`` is the level at which it failed, or None.
+    prev, ok, dead = (), 0, None
+    for fixed, weight in terms:
+        if collect:
+            homs.append([])
+        cur = (0, *fixed)
+        depth = 0
+        while depth < ok and cur[depth] == prev[depth]:
             depth += 1
-            continue
-        if depth == last:  # each success yields True
-            if collect:
-                homs.extend(tuple(val[::2]) for _ in it)
-            else:
-                count += sum(it)
-        its[depth] = None
-        depth -= 1
-    return (len(homs) if collect else count), homs, nodes
+        if depth == ok and dead == ok and cur[ok] == prev[ok]:
+            continue  # it fails where the last term failed
+        prev, ok, dead, found = cur, depth, None, 0
+        for depth in range(depth, len(cur)):
+            x, c = cur[depth], conj[depth]
+            if c is not None and classes[x] is not classes[val[c]]:
+                dead = depth
+                break
+            it = functions[depth](val, mul, inv, (x,))
+            if depth == last:
+                found = leaves(it)
+                break
+            if not next(it, False):
+                dead = depth
+                break
+            ok = depth + 1
+        else:
+            bottom = depth = len(cur)
+            while depth >= bottom:
+                it = its[depth]
+                if it is None:
+                    c = conj[depth]
+                    cands = elements if c is None else classes[val[c]]
+                    nodes += len(cands)
+                    if nodes > budget:
+                        raise BudgetExceededError(budget)
+                    it = its[depth] = functions[depth](val, mul, inv, cands)
+                if depth < last and next(it, False):
+                    depth += 1
+                    continue
+                if depth == last:
+                    found += leaves(it)
+                its[depth] = None
+                depth -= 1
+        count += weight * found
+    return count, homs, nodes

@@ -25,6 +25,7 @@ from .homcount import (
     MAX_DEGREE,
     count_classes_burnside,
     count_classes_enumerate,
+    symmetric_group,
 )
 from .presentations import (
     abelianization,
@@ -81,13 +82,15 @@ def _cmd_homcount(args, out):
     d = _diagram_from_args(args)
     p = presentation(d)
     methods = ("enumerate", "burnside") if args.method == "both" else (args.method,)
+    # Both methods search one table of Sym(n), freed when the command ends.
+    sym = symmetric_group(args.sym)
     results = []
     spent = 0  # --budget caps the nodes of both methods together
     for method in methods:
         counter = (count_classes_enumerate if method == "enumerate"
                    else count_classes_burnside)
         try:
-            r = counter(p, args.sym, budget=args.budget - spent)
+            r = counter(p, args.sym, budget=args.budget - spent, sym=sym)
         except BudgetExceededError:
             raise BudgetExceededError(args.budget) from None
         spent += r.nodes

@@ -15,22 +15,33 @@ orbit of y1's centralizer, and each term is weighted by both orbit sizes.
 A total into a group (Sym(n), or a centralizer for a Burnside term) is the
 sum of weight × extensions over its terms.  Every orbit of Sym(n) on the
 homomorphisms meets exactly one term, and there it is one orbit of the
-term's stabilizer S = C(y1) ∩ C(y2); enumeration collects each term's
-extensions and finds those S-orbits one by one (under a trivial S it only
-counts them).  The Burnside terms are
+term's stabilizer S = C(y1) ∩ C(y2); enumeration collects the extensions
+of the terms with a non-trivial S and finds those S-orbits one by one
+(under a trivial S it only counts them).  The Burnside terms are
 the orbits of Sym(n) conjugating itself, computed once per count and
 shared with the split of its identity term, the total.  The two routes
 share the kernel, the plan and the split's representatives and
 stabilizers, but not the Burnside sum, the class sizes or the searches
 into centralizers.
 
+One kernel call runs all the terms of a group (enumeration makes two, one
+counting and one collecting), with the group's classes from the same
+routine as a lookup.  A level whose generator is conjugate
+in the presented group to one known before it searches only the class of
+that known value in the group searched, Sym(n) or a centralizer: if
+``a = w b w^-1``, a homomorphism phi has ``phi(a) = phi(w) phi(b)
+phi(w)^-1`` with ``phi(w)`` in that group.  Every Wirtinger crossing
+relator makes two arcs of one strand conjugate.
+
 ``budget`` caps the search nodes of a whole count, summed over its kernel
-calls; a searched level spends one node per element of the group when it
-is entered, so the node totals are those of trying candidates one by
-one.  The search runs in the pure-Python kernel
+calls.  A node is one candidate tried, an element of the group or of a
+known conjugate's class; a searched level spends all of its candidates
+when it is entered, so the node totals are those of trying candidates one
+by one.  The search runs in the pure-Python kernel
 :mod:`borrays._homsearch_py`, on group elements as indices into sorted
-Sym(n) with a Cayley table, built once per count for Sym(n); a
-centralizer is the list of its elements over that table.  Each count
+Sym(n) with a Cayley table, built once per count for Sym(n) (or once per
+command, passed in as ``sym``); a centralizer is the list of its elements
+over that table.  Each count
 compiles its presentation once into a search plan (:func:`_compiled`):
 the relators solved or checked at each branching generator, in a
 branching order the plan chooses itself.  The kernel runs each level of
@@ -55,6 +66,7 @@ __all__ = [
     "count_total",
     "count_classes_enumerate",
     "count_classes_burnside",
+    "symmetric_group",
 ]
 
 DEFAULT_BUDGET = 10**10
@@ -116,11 +128,11 @@ class _Budget:
         self.limit = limit
         self.spent = 0
 
-    def search(self, plan, group, fixed=(), collect=False):
+    def search(self, plan, group, terms, classes=None, collect=False):
         """Run the kernel on what is left of the budget; (count, homs)."""
         try:
             count, homs, nodes = _kernel.search_homs(
-                plan, group, fixed, self.limit - self.spent, collect)
+                plan, group, terms, self.limit - self.spent, collect, classes)
         except BudgetExceededError:
             raise BudgetExceededError(self.limit) from None
         self.spent += nodes
@@ -128,18 +140,22 @@ class _Budget:
 
 
 def _conjugation_orbits(acting, group):
-    """(representative, orbit size, stabilizer) per orbit of ``acting`` on ``group``.
+    """The orbits of ``acting`` on ``group`` by conjugation: (orbits, orbit_of).
 
     ``acting`` lists elements of the :class:`~borrays._homsearch_py.Group`
-    ``group`` in ascending order, a subgroup acting by conjugation;
-    representatives are the first orbit members in ``group``'s order.  A
-    stabilizer is the representative's centralizer in ``acting``, ascending.
+    ``group`` in ascending order, a subgroup acting by conjugation.
+    ``orbits`` holds (representative, orbit size, stabilizer) per orbit;
+    representatives are the first orbit members in ``group``'s order, and
+    a stabilizer is the representative's centralizer in ``acting``,
+    ascending.  ``orbit_of[z]`` is the orbit of each element ``z`` of
+    ``group``, one tuple shared by its members: with ``acting`` the whole
+    group, the class lookup of :func:`~borrays._homsearch_py.search_homs`.
     """
     mul, inv = group.mul, group.inv
-    seen = bytearray(len(mul))
-    out = []
+    orbit_of = [None] * len(mul)
+    orbits = []
     for y in group.elements:
-        if seen[y]:
+        if orbit_of[y] is not None:
             continue
         orbit, stabilizer = set(), []
         for h in acting:
@@ -147,13 +163,14 @@ def _conjugation_orbits(acting, group):
             orbit.add(z)
             if z == y:
                 stabilizer.append(h)
+        orbit = tuple(orbit)
         for z in orbit:
-            seen[z] = 1
-        out.append((y, len(orbit), stabilizer))
-    return out
+            orbit_of[z] = orbit
+        orbits.append((y, len(orbit), stabilizer))
+    return orbits, orbit_of
 
 
-def _split(plan, group, classes=None):
+def _split(plan, group, classes):
     """The orbit split of a count into ``group``: (fixed, weight, stabilizer) terms.
 
     Conjugating the images of the first two branching generators by one
@@ -166,18 +183,16 @@ def _split(plan, group, classes=None):
     levels (fewer if the plan has fewer), and ``stabilizer`` their joint
     centralizer in the group, ascending.
 
-    classes: the group's orbits on itself, ``_conjugation_orbits(
-        group.elements, group)``, if the caller has them already.
+    classes: the group's orbits on itself, the first item of
+        ``_conjugation_orbits(group.elements, group)``.
     """
-    if classes is None:
-        classes = _conjugation_orbits(group.elements, group)
     terms = [((), 1, group.elements)]
     for _ in plan.levels[:2]:
         terms = [
             (fixed + (y,), weight * size, stabilizer)
             for fixed, weight, acting in terms
             for y, size, stabilizer in (
-                _conjugation_orbits(acting, group) if fixed else classes)
+                _conjugation_orbits(acting, group)[0] if fixed else classes)
         ]
     return terms
 
@@ -185,11 +200,34 @@ def _split(plan, group, classes=None):
 def _count_into(plan, group, budget: _Budget, classes=None) -> int:
     """Homomorphisms into ``group``, a subgroup of Sym(n) with its table.
 
-    One kernel call per term of the orbit split, weighted by its orbit
-    sizes; ``classes`` is passed on to :func:`_split`.
+    One kernel call runs every term of the orbit split, weighted by its
+    orbit sizes, with the group's classes as the class lookup.
+    ``classes`` is ``_conjugation_orbits(group.elements, group)``, if the
+    caller has it already.
     """
-    return sum(weight * budget.search(plan, group, fixed)[0]
-               for fixed, weight, _ in _split(plan, group, classes))
+    orbits, orbit_of = classes or _conjugation_orbits(group.elements, group)
+    terms = [(fixed, weight) for fixed, weight, _ in _split(plan, group, orbits)]
+    return budget.search(plan, group, terms, orbit_of)[0]
+
+
+def symmetric_group(n: int):
+    """Sym(n) with its Cayley table, for counts of degree ``n`` to share.
+
+    Refuses the degrees a count refuses, before building anything.  Pass
+    the result as ``sym`` to the counts of one command; the table lives
+    as long as the caller holds it.
+    """
+    _check_degree(n)
+    return _kernel.symmetric_group(n)
+
+
+def _table(n, sym):
+    """``sym``, checked to be the table of Sym(n), or a new one if None."""
+    if sym is None:
+        return _kernel.symmetric_group(n)
+    if len(sym.perms) != factorial(n) or len(sym.elements) != len(sym.perms):
+        raise ValueError(f"sym is not the table of Sym({n})")
+    return sym
 
 
 def count_total(p: FinitePresentation, n: int,
@@ -227,31 +265,40 @@ def _orbit_count(homs, stabilizer, group):
 
 
 def count_classes_enumerate(p: FinitePresentation, n: int,
-                            budget: int = DEFAULT_BUDGET) -> HomClassCount:
+                            budget: int = DEFAULT_BUDGET, *,
+                            sym=None) -> HomClassCount:
     """Class count by explicit orbits of the orbit split's stabilizers.
 
     Every orbit of Sym(n) on the homomorphisms meets exactly one term
     (y1, y2) of the split, and there it is one orbit of the term's
     stabilizer S = C(y1) ∩ C(y2) on the homomorphisms extending (y1, y2).
-    So each term's extensions are collected and their S-orbits counted.
+    So the extensions of the terms with a non-trivial S are collected, by
+    one kernel call, and their S-orbits counted term by term.  ``sym`` is
+    as in :func:`symmetric_group`.
     """
     _check_degree(n)
     plan = _compiled(p)
     budget = _Budget(budget)
-    sym = _kernel.symmetric_group(n)
-    total = classes = 0
-    for fixed, weight, stabilizer in _split(plan, sym):
-        # Under a trivial stabilizer each extension is its own orbit, so the
-        # kernel only counts them.
-        trivial = len(stabilizer) == 1
-        count, homs = budget.search(plan, sym, fixed, collect=not trivial)
-        total += weight * count
-        classes += count if trivial else _orbit_count(homs, stabilizer, sym)
+    sym = _table(n, sym)
+    orbits, orbit_of = _conjugation_orbits(sym.elements, sym)
+    split = _split(plan, sym, orbits)
+    # Under a trivial S each extension is its own orbit, and the term's
+    # weight is n!/|S| = n!: one kernel call only counts these extensions.
+    free, _ = budget.search(
+        plan, sym, [(fixed, 1) for fixed, _, s in split if len(s) == 1], orbit_of)
+    held = [term for term in split if len(term[2]) > 1]
+    _, homs = budget.search(plan, sym, [(fixed, 1) for fixed, _, _ in held],
+                            orbit_of, collect=True)
+    total, classes = factorial(n) * free, free
+    for (_, weight, stabilizer), found in zip(held, homs):
+        total += weight * len(found)
+        classes += _orbit_count(found, stabilizer, sym)
     return HomClassCount(n, total, classes, "enumerate", budget.spent)
 
 
 def count_classes_burnside(p: FinitePresentation, n: int,
-                           budget: int = DEFAULT_BUDGET) -> HomClassCount:
+                           budget: int = DEFAULT_BUDGET, *,
+                           sym=None) -> HomClassCount:
     """Class count by Burnside average over conjugacy-class representatives.
 
     A homomorphism is fixed by conjugation with pi iff every generator
@@ -260,17 +307,17 @@ def count_classes_burnside(p: FinitePresentation, n: int,
     Sym(n) conjugating itself: each class's first element, its size and
     its centralizer.  The identity's class comes first, and its
     centralizer is Sym(n), so its term is the total; its split reuses
-    these classes.
+    these classes.  ``sym`` is as in :func:`symmetric_group`.
     """
     _check_degree(n)
     plan = _compiled(p)
     budget = _Budget(budget)
-    sym = _kernel.symmetric_group(n)
+    sym = _table(n, sym)
     classes = _conjugation_orbits(sym.elements, sym)
     total = _count_into(plan, sym, budget, classes)
     acc = total + sum(
         size * _count_into(plan, sym.subgroup(centralizer), budget)
-        for _, size, centralizer in classes[1:])
+        for _, size, centralizer in classes[0][1:])
     if acc % factorial(n):
         raise IntegrityError("Burnside sum is not divisible by n!")
     return HomClassCount(n, total, acc // factorial(n), "burnside",

@@ -231,7 +231,8 @@ def _unreduced_search(p, n, budget):
     _check_degree(n)
     budget = _Budget(budget)
     sym = _kernel.symmetric_group(n)
-    return sym, budget.search(_compiled(p), sym, collect=True)[1], budget
+    homs = budget.search(_compiled(p), sym, [((), 1)], collect=True)[1][0]
+    return sym, homs, budget
 
 
 def unreduced_homs(p, n, budget=DEFAULT_BUDGET):

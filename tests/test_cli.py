@@ -2,12 +2,14 @@
 
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import os
 import random
 import tempfile
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,26 @@ def test_homcount_enumerate_refuses_above_max_degree(capsys, method):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert f"MAX_DEGREE = {MAX_DEGREE}" in err
+
+
+def test_homcount_both_methods_build_one_table(capsys, monkeypatch):
+    # --method both searches one table of Sym(n), freed with the command.
+    from borrays import _homsearch_py
+    build, tables = _homsearch_py.symmetric_group, []
+
+    def spy(n):
+        table = build(n)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(_homsearch_py, "symmetric_group", spy)
+    for method, lines in (("both", 2), ("enumerate", 1), ("burnside", 1)):
+        tables.clear()
+        code, out, _ = run(capsys, "homcount", "--expr", "A", "--sym", "4",
+                           "--method", method)
+        assert code == 0 and out.count("classes: 47") == lines
+        gc.collect()
+        assert len(tables) == 1 and tables[0]() is None
 
 
 def test_homcount_budget_exhaustion(capsys):

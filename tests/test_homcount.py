@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borrays.diagrams import builtin, concat, forget
+from borrays.diagrams import bar, builtin, concat, forget, star
 from borrays.errors import BudgetExceededError, IntegrityError
 from borrays.homcount import (
     DEFAULT_BUDGET,
@@ -20,6 +20,7 @@ from borrays.homcount import (
     count_classes_enumerate,
     count_total,
     kernel_name,
+    symmetric_group,
 )
 from borrays.homcount import (
     _Budget,
@@ -142,7 +143,7 @@ def test_conjugation_orbits_of_sym_n_are_its_classes():
     for n, partitions in zip((1, 2, 3, 4, 5, 6), (1, 2, 3, 5, 7, 11)):
         sym = _kernel.symmetric_group(n)
         perms = sym.perms
-        orbits = _conjugation_orbits(sym.elements, sym)
+        orbits, orbit_of = _conjugation_orbits(sym.elements, sym)
         assert len(orbits) == partitions
         assert sum(size for _, size, _ in orbits) == factorial(n)
         assert [perms[rep] for rep, _, _ in orbits] == sorted(
@@ -152,6 +153,11 @@ def test_conjugation_orbits_of_sym_n_are_its_classes():
             assert size == sum(_cycle_type(q) == kind for q in perms)
             assert stabilizer == [x for x, q in enumerate(perms)
                                   if _commutes(q, perms[rep])]
+            # The class lookup: one tuple shared by the class's members.
+            members = orbit_of[rep]
+            assert sorted(members) == [x for x, q in enumerate(perms)
+                                       if _cycle_type(q) == kind]
+            assert all(orbit_of[x] is members for x in members)
 
 
 def test_enumerate_homs_deterministic_and_valid():
@@ -189,6 +195,45 @@ def test_enumeration_matches_the_unreduced_oracle_on_blocks():
             e = count_classes_enumerate(p, n)
             u = helpers.unreduced_class_count(p, n)
             assert (e.total_homs, e.class_count) == (u.total_homs, u.class_count)
+
+
+_BLOCK_NAMES = ("A", "Ab", "As", "Abs", "dirac", "eps3")
+
+
+def _seeded_block_word(rng, length):
+    """A word of the six builtins, each under identity, bar, star or both."""
+    ops = (lambda d: d, bar, star, lambda d: bar(star(d)))
+    return concat(*(rng.choice(ops)(builtin(rng.choice(_BLOCK_NAMES)))
+                    for _ in range(length)))
+
+
+def test_both_methods_match_the_unrestricted_oracle_on_block_words():
+    # The oracle searches every level over all of Sym(n), with no orbit
+    # split and no class lookup.  Burnside's centralizer searches and
+    # enumeration's terms run class-restricted levels in most of these
+    # words; a level that reads its known conjugate's register before any
+    # level stores it miscounts the long words into Sym(2).
+    rng = random.Random(23)
+    cases = [(builtin(name), (2, 3, 4)) for name in _BLOCK_NAMES]
+    cases += [(_seeded_block_word(rng, length), (2, 3, 4))
+              for length in range(1, 7) for _ in range(2)]
+    cases += [(_seeded_block_word(rng, length), (2,)) for length in (54, 78)]
+    restricted = 0
+    for d, degrees in cases:
+        p = presentation(d)
+        restricted += any(level.conj is not None
+                          for level in _compiled(p).levels)
+        for n in degrees:
+            u = helpers.unreduced_class_count(p, n)
+            want = (u.total_homs, u.class_count)
+            if n < 4:  # the same search again, homs kept
+                assert len(helpers.unreduced_homs(p, n)) == want[0]
+            e, b = count_classes_enumerate(p, n), count_classes_burnside(p, n)
+            assert (e.total_homs, e.class_count) == want
+            assert (b.total_homs, b.class_count) == want
+            # Enumeration's tree is a part of the oracle's.
+            assert e.nodes <= u.nodes
+    assert restricted >= 10
 
 
 def test_orbit_count_finds_orbits_and_refuses_an_open_set():
@@ -272,9 +317,10 @@ def test_degree_that_is_not_an_int_is_refused(n):
 
 
 def test_enumeration_reaches_max_degree(deep):
-    # Enumeration keeps only one split term's homs at a time, so it has no
-    # degree cap of its own.  eps3 presents F2, and both of its levels are
-    # fixed by the split: no node is searched.
+    # Enumeration keeps only the homs of the split's terms with a
+    # non-trivial stabilizer, so it has no degree cap of its own.  eps3
+    # presents F2, and both of its levels are fixed by the split: no node
+    # is searched.
     p = presentation(builtin("eps3"))
     want = (MAX_DEGREE, factorial(MAX_DEGREE) ** 2, 5579, 0)
     methods = (count_classes_enumerate, count_classes_burnside)
@@ -283,6 +329,20 @@ def test_enumeration_reaches_max_degree(deep):
         assert (r.n, r.total_homs, r.class_count, r.nodes) == want
     with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
         count_classes_enumerate(p, MAX_DEGREE + 1)
+
+
+def test_counts_share_a_table_of_sym_n_only():
+    p = presentation(builtin("A"))
+    sym = symmetric_group(4)
+    centralizer = sym.subgroup(_conjugation_orbits(sym.elements, sym)[0][-1][2])
+    for method in (count_classes_enumerate, count_classes_burnside):
+        assert method(p, 4, sym=sym) == method(p, 4)
+        for n, table in ((3, sym), (4, centralizer)):
+            with pytest.raises(ValueError, match=r"not the table of Sym\("):
+                method(p, n, sym=table)
+    for n in (MAX_DEGREE + 1, -1):
+        with pytest.raises(ValueError, match="degree"):
+            symmetric_group(n)
 
 
 def test_kernel_name_reports_a_kernel():
@@ -299,9 +359,10 @@ def _search(n, num_gens, relators, budget=DEFAULT_BUDGET, collect=True):
     """
     group = _kernel.symmetric_group(n)
     plan = _kernel.compile_plan(num_gens, relators, range(num_gens))
-    count, homs, nodes = _kernel.search_homs(plan, group, (), budget, collect)
+    count, homs, nodes = _kernel.search_homs(plan, group, [((), 1)], budget,
+                                             collect)
     if homs is not None:
-        homs = [tuple(group.perms[x] for x in hom) for hom in homs]
+        homs = [tuple(group.perms[x] for x in hom) for hom in homs[0]]
     return count, homs, nodes
 
 
@@ -329,10 +390,10 @@ def test_kernel_budget_boundary(collect):
     # eps3 branches on two generators over Sym(4): 24 + 24 * 24 nodes.
     plan = _compiled(presentation(builtin("eps3")))
     sym = _kernel.symmetric_group(4)
-    count, _, nodes = _kernel.search_homs(plan, sym, (), 600, collect)
+    count, _, nodes = _kernel.search_homs(plan, sym, [((), 1)], 600, collect)
     assert (count, nodes) == (576, 600)
     with pytest.raises(BudgetExceededError):
-        _kernel.search_homs(plan, sym, (), 599, collect)
+        _kernel.search_homs(plan, sym, [((), 1)], 599, collect)
 
 
 @pytest.mark.parametrize("method, p, n, nodes", [
@@ -340,7 +401,7 @@ def test_kernel_budget_boundary(collect):
     (helpers.unreduced_class_count,
      presentation(concat(builtin("A"), builtin("A"))), 4, 30_552),
     (count_classes_enumerate,
-     presentation(concat(builtin("A"), builtin("A"))), 4, 2_400),
+     presentation(concat(builtin("A"), builtin("A"))), 4, 1_357),
 ])
 def test_budget_boundary_of_a_count(method, p, n, nodes):
     assert method(p, n, budget=nodes).nodes == nodes
@@ -362,7 +423,7 @@ def _subgroups(n, sym):
     out = [[x for x, q in enumerate(sym.perms) if q in rotations],
            [x for x, q in enumerate(sym.perms)
             if (n - len(_cycle_type(q))) % 2 == 0]]
-    out += [c for _, _, c in _conjugation_orbits(sym.elements, sym)]
+    out += [c for _, _, c in _conjugation_orbits(sym.elements, sym)[0]]
     return out
 
 
@@ -374,15 +435,16 @@ def test_kernel_restricted_candidates_filter_full_search(relators, n):
     # membership, so this fails if one can ever leave the group searched.
     sym = _kernel.symmetric_group(n)
     plan = _kernel.compile_plan(3, relators, range(3))
-    _, homs, _ = _kernel.search_homs(plan, sym, (), DEFAULT_BUDGET, True)
+    _, homs, _ = _kernel.search_homs(plan, sym, [((), 1)], DEFAULT_BUDGET,
+                                     True)
     subgroups = _subgroups(n, sym)
     assert len(subgroups) == 2 + {2: 2, 3: 3, 4: 5}[n]  # partitions of n
     for elements in subgroups:
         members = set(elements)
         assert {sym.mul[a][b] for a in elements for b in elements} == members
-        count, _, _ = _kernel.search_homs(plan, sym.subgroup(elements), (),
-                                          DEFAULT_BUDGET, False)
-        assert count == sum(all(x in members for x in hom) for hom in homs)
+        count, _, _ = _kernel.search_homs(plan, sym.subgroup(elements),
+                                          [((), 1)], DEFAULT_BUDGET, False)
+        assert count == sum(all(x in members for x in hom) for hom in homs[0])
 
 
 def _relator_value(relator, images, n):
@@ -491,7 +553,7 @@ def test_small_tables_are_tuples_and_subgroups_share_them():
             assert all(type(row) is array and row.typecode == "H"
                        for row in sym.mul)
         # The centralizer of the last class representative.
-        centralizer = _conjugation_orbits(sym.elements, sym)[-1][2]
+        centralizer = _conjugation_orbits(sym.elements, sym)[0][-1][2]
         sub = sym.subgroup(centralizer)
         assert sub.mul is sym.mul and sub.inv is sym.inv
         assert sub.perms is sym.perms
@@ -515,8 +577,8 @@ def test_plan_shape_of_a_and_eps3():
     plan = _compiled(p)
     assert [p.generators[level.gen] for level in plan.levels] == ["x1", "y1"]
     count, homs, nodes = _kernel.search_homs(
-        plan, _kernel.symmetric_group(4), (), DEFAULT_BUDGET, True)
-    assert nodes == 24 + 24 * 24 and count == len(homs) == 24 * 24
+        plan, _kernel.symmetric_group(4), [((), 1)], DEFAULT_BUDGET, True)
+    assert nodes == 24 + 24 * 24 and count == len(homs[0]) == 24 * 24
 
 
 def test_one_letter_relator_is_not_a_level():
@@ -646,8 +708,8 @@ def test_compiled_level_code_stays_bounded():
     word = [rng.choice(("A", "Ab", "As", "Abs")) for _ in range(1000)]
     plan = _compiled(presentation(concat(*map(builtin, word))))
     _kernel._factory.cache_clear()
-    _kernel.search_homs(plan, _kernel.symmetric_group(2), (), DEFAULT_BUDGET,
-                        False)
+    _kernel.search_homs(plan, _kernel.symmetric_group(2), [((), 1)],
+                        DEFAULT_BUDGET, False)
     assert _kernel._factory.cache_info().currsize == 22
 
 
@@ -655,14 +717,15 @@ def test_deep_plans_need_no_recursion():
     plan = _kernel.compile_plan(1500, (), range(1500))
     assert len(plan.levels) == 1500
     count, _, nodes = _kernel.search_homs(
-        plan, _kernel.symmetric_group(1), (), DEFAULT_BUDGET, False)
+        plan, _kernel.symmetric_group(1), [((), 1)], DEFAULT_BUDGET, False)
     assert (count, nodes) == (1, 1500)
 
 
 def test_generated_level_code_is_pinned(monkeypatch):
     # Every (source, args) pair the kernel generates for these plans, per
     # collect mode, the pre-cascade first.  A kernel refactor that keeps this
-    # digest runs the same code on the same registers.
+    # digest runs the same code on the same registers.  (One level of the
+    # 1000-block word stores its branched value for a later level's class.)
     words = [["A"], ["A", "A"], ["A", "Ab"], ["A", "As"], ["A", "Abs"],
              ["eps3"], ["dirac"]]
     rng = random.Random(5)
@@ -686,7 +749,7 @@ def test_generated_level_code_is_pinned(monkeypatch):
             _kernel._level_functions(plan, collect)
     assert len(pairs) == 1648
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
-        "26835269d7a1fc29f0ec8f4aa1a7ae95547f6d011136084066da5432b0a09ee2")
+        "6bcc443208490d0d9aac43c6e25e72a0fc468bccee60cad5e74bc72c3f669389")
 
 
 def _sym3_search(collect):
@@ -694,9 +757,10 @@ def _sym3_search(collect):
     sym3 = _kernel.symmetric_group(3)
 
     def search(plan, fixed):
-        return _kernel.search_homs(plan, sym3, fixed, DEFAULT_BUDGET, collect)
+        return _kernel.search_homs(plan, sym3, [(fixed, 1)], DEFAULT_BUDGET,
+                                   collect)
 
-    return search, lambda homs: homs if collect else None
+    return search, lambda homs: [homs] if collect else None
 
 
 @pytest.mark.parametrize("collect", [True, False])
@@ -729,19 +793,99 @@ def test_search_stops_at_a_fixed_level_whose_check_fails(collect):
     assert search(plan, (3, 1)) == (0, homs([]), 0)
 
 
-def test_search_tree_is_pinned():
+@pytest.mark.parametrize("rel, pair", [
+    (((0, 1), (1, -1)), (0, 1)),                              # a b^-1
+    (((2, -1), (0, 1), (2, 1), (1, -1)), (0, 1)),             # Wirtinger
+    (((1, 1), (2, 1), (0, -1), (2, -1)), (1, 0)),             # b u a^-1 u^-1
+    (((3, 1), (1, -1), (3, -1), (2, -1), (0, 1), (2, 1)), (1, 0)),  # u = c d
+    (((0, 1), (2, 1), (1, 1), (2, -1)), None),                # a u b u^-1
+    (((0, 1), (2, 1), (1, -1), (2, 1)), None),
+    (((0, 1), (1, 1), (2, 1)), None),                         # odd length
+    ((), None),
+])
+def test_conjugate_pairs_are_read_off_relators(rel, pair):
+    # a^e u b^-e u^-1, read cyclically, makes a and b conjugate.
+    assert _kernel._conjugate_pair(rel) == pair
+
+
+def _conj_free(plan):
+    """The plan with no level's ``conj``: every level over the whole group."""
+    return _kernel.Plan(plan.num_gens, plan.pre, tuple(
+        _kernel.Level(level.gen, level.solves, level.checks)
+        for level in plan.levels))
+
+
+def test_a_restricted_level_spends_its_class_size():
+    # b is searched over the class of a's value: one node per member.
+    Level = _kernel.Level
+    plan = _kernel.Plan(2, Level(None, (), ()), (Level(0, (), ()),
+                                                 Level(1, (), (), conj=0)))
+    sym = _kernel.symmetric_group(4)
+    orbits, orbit_of = _conjugation_orbits(sym.elements, sym)
+    for y, size, _ in orbits:
+        count, homs, nodes = _kernel.search_homs(
+            plan, sym, [((y,), 1)], DEFAULT_BUDGET, True, orbit_of)
+        assert count == nodes == size
+        assert sorted(b for _, b in homs[0]) == sorted(orbit_of[y])
+        # A fixed value outside the known value's class ends the term.
+        other = next(x for x in sym.elements if orbit_of[x] is not orbit_of[y])
+        assert _kernel.search_homs(plan, sym, [((y, other), 1)], DEFAULT_BUDGET,
+                                   False, orbit_of) == (0, None, 0)
+    squares = sum(size * size for _, size, _ in orbits)
+    assert _kernel.search_homs(plan, sym, [((), 1)], DEFAULT_BUDGET, False,
+                               orbit_of) == (squares, None, 24 + squares)
+    # Without the class lookup the same plan searches b over all of Sym(4).
+    assert _kernel.search_homs(plan, sym, [((), 1)], DEFAULT_BUDGET,
+                               False) == (576, None, 24 + 576)
+
+
+def test_unrestricted_calls_search_every_level_over_the_group():
+    # Ab branches on y1 after y3, its conjugate; A and eps3 have no such
+    # level, so the class lookup keeps their search trees.
+    for name, restricted in (("Ab", True), ("A", False), ("eps3", False)):
+        plan = _compiled(presentation(builtin(name)))
+        assert any(level.conj is not None for level in plan.levels) == restricted
+        free = _conj_free(plan)
+        for n in (3, 4):
+            sym = _kernel.symmetric_group(n)
+            orbit_of = _conjugation_orbits(sym.elements, sym)[1]
+            whole = _kernel.search_homs(free, sym, [((), 1)], DEFAULT_BUDGET, True)
+            assert _kernel.search_homs(plan, sym, [((), 1)], DEFAULT_BUDGET,
+                                       True) == whole
+            count, homs, nodes = _kernel.search_homs(
+                plan, sym, [((), 1)], DEFAULT_BUDGET, True, orbit_of)
+            # The same homs (a class lists its members in no fixed order);
+            # fewer nodes only if restricted.
+            assert (count, sorted(homs[0])) == (whole[0], sorted(whole[1][0]))
+            assert (nodes < whole[2]) == restricted
+            # The oracle makes such a call: the tree of the conj-free plan.
+            unreduced = helpers.unreduced_class_count(presentation(builtin(name)), n)
+            assert unreduced.nodes == whole[2]
+
+
+def test_search_tree_is_pinned(deep):
     # Node counts of three paper-table counts; a kernel change that keeps
     # them visits the same search tree and spends --budget the same way.
     a, a_as = builtin("A"), concat(builtin("A"), builtin("As"))
     assert count_classes_burnside(presentation(a), 5).nodes == 20_693
-    assert count_classes_burnside(presentation(a_as), 5).nodes == 49_474
+    # A has no level with a known conjugate; A·As branches on x4, a
+    # conjugate of x2, over x2's class.
+    assert count_classes_burnside(presentation(a_as), 5).nodes == 25_638
     aa = presentation(concat(a, a))
     assert helpers.unreduced_class_count(aa, 4).nodes == 30_552
     # Enumeration searches count_total's tree: the split's terms, once each.
-    assert count_classes_enumerate(aa, 4).nodes == 2_400
-    assert count_total(aa, 4, budget=2_400) == 1056
+    assert count_classes_enumerate(aa, 4).nodes == 1_357
+    assert count_total(aa, 4, budget=1_357) == 1056
     with pytest.raises(BudgetExceededError):
-        count_total(aa, 4, budget=2_399)
+        count_total(aa, 4, budget=1_356)
+    if deep:
+        # The products A·A and A·Ab that only Sym(6) tells apart.
+        for x, want in (("A", (3111, 2_052_000)), ("Ab", (3255, 2_155_680))):
+            p = presentation(concat(a, builtin(x)))
+            for method, nodes in ((count_classes_enumerate, 785_612),
+                                  (count_classes_burnside, 812_538)):
+                r = method(p, 6)
+                assert (r.class_count, r.total_homs, r.nodes) == (*want, nodes)
 
 
 def test_a_into_sym7_is_pinned(deep):
@@ -776,7 +920,8 @@ def test_random_presentations_methods_agree(relators):
 
 def _unsplit(p, n, group):
     """One kernel call over the whole group, nothing fixed."""
-    return _kernel.search_homs(_compiled(p), group, (), DEFAULT_BUDGET, False)[0]
+    return _kernel.search_homs(_compiled(p), group, [((), 1)], DEFAULT_BUDGET,
+                               False)[0]
 
 
 _rand_words3 = st.lists(
