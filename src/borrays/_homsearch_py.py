@@ -27,9 +27,11 @@ Computational Group Theory*, 2005): the steps that close before any
 assignment, then, for each branching generator, one :class:`Level` of
 solve steps and check words.  The same replay chooses the branching
 order: each level branches on the generator whose trial cascade closes
-the most relators.  Replaying the propagation keeps the search tree: a
-node fails exactly when some relator closed at it fails, whichever
-relator solves a generator.
+the most relators.  Generators whose cascades close the same set share
+one cascade and its rank, so planning takes time about linear in the
+presentation.  Replaying the propagation keeps the search tree: a node
+fails exactly when some relator closed at it fails, whichever relator
+solves a generator.
 
 Each generator's image and its inverse sit in registers ``2g`` and
 ``2g + 1``, and a step multiplies a word of registers (the empty word is
@@ -47,12 +49,16 @@ or product of these, all elements of the group searched; a subgroup is
 closed under both, so a solved value needs no membership check, and a
 solve that nothing reads is dropped in every group.
 
-The source of a level holds only fixed text and local names numbered in
-order of first use; the ``val`` indices it loads and stores are arguments
-of the factory that source defines.  So levels of one *shape* share one
-compiled factory: a 1000-block word has a few dozen shapes.  The bounded
-cache :func:`_factory` maps source to factory and holds no plan; the
-functions for one plan, per ``collect`` mode, hang on the plan itself.
+A level's *shape* (:func:`_level_shape`) numbers its registers in order
+of first use and keeps which inverses it computes and which values it
+stores; the ``val`` indices it loads and stores are arguments of the
+factory its source defines.  So levels that differ only in their register
+numbers share one shape, one source and one compiled factory: a
+1000-block word has a few dozen shapes.  Two bounded caches, one from
+shape to source (:func:`_level_source`) and one from source to factory
+(:func:`_factory`), hold no plan, so a repeated shape costs a tuple and
+two lookups; the functions for one plan, per ``collect`` mode, hang on
+the plan itself.
 
 Every Wirtinger crossing relator is cyclically ``a u b^-1 u^-1``, so it
 makes ``a`` and ``b`` conjugate in the presented group, and
@@ -74,7 +80,7 @@ searched level; fixed levels count none.
 from array import array
 from functools import lru_cache, partial
 from heapq import heappop, heappush
-from itertools import permutations
+from itertools import islice, permutations
 from operator import itemgetter
 
 from .errors import BudgetExceededError
@@ -187,6 +193,13 @@ def _conjugate_pair(rel):
     half the length, and the letter at half the length is ``b^-e``.
     """
     size = len(rel)
+    if size == 4:  # a crossing relator: the loop below, unrolled
+        (a, e), (c, f), (b, g), (d, h) = rel
+        if e == -g and c == d and f == -h:
+            return a, b
+        if f == -h and a == b and e == -g:
+            return c, d
+        return None
     if size % 2:
         return None
     half = size // 2
@@ -214,14 +227,20 @@ def compile_plan(num_gens, relators, names):
     most relators, then solves the most generators, then has the most
     letter occurrences; the least name breaks the remaining ties.
 
-    The ranks are cached.  A generator's rank key depends only on the
-    relators its trial cascade read: their unknown-letter counts and which
-    of their generators are known.  A generator that becomes known lowers
-    the count of every relator holding it, so after a level only the
-    generators that read a relator whose count changed are ranked again.
-    The least key is taken from a heap that skips entries of known
-    generators and keys since replaced, so each level branches on the
-    generator a full re-ranking would choose, and the plan is the same.
+    The ranks are cached and shared per closure.  A generator's rank key
+    depends only on the relators its trial cascade read: their
+    unknown-letter counts and which of their generators are known.  A
+    generator that becomes known lowers the count of every relator holding
+    it, so after a level only the closures that read a relator whose count
+    changed are ranked again.  Within one such round the known set is
+    fixed and a cascade computes a monotone closure, so the cascade of
+    ``h``, once it reaches a generator ranked in the round whose closure
+    holds ``h``, takes that closure: its relators closed, generators
+    solved and relators read.  So a chain of N generators with one closure
+    plans in time linear in N.  The least key is taken from a heap that
+    skips entries of known generators and keys since replaced, so each
+    level branches on the generator a full re-ranking would choose, and
+    the plan is the same.
 
     Relators that are cyclically ``a u b^-1 u^-1``, as every Wirtinger
     crossing relator is, join ``a`` and ``b`` in one conjugacy component
@@ -249,16 +268,22 @@ def compile_plan(num_gens, relators, names):
     known = [False] * num_gens
     unassigned = [len(rel) for rel in relators]  # unknown letter occurrences
     closed = [False] * len(relators)
-    touched = []  # relators whose count changed in the current level
+    # The members of each closure whose cascade read each relator.
+    readers = [[] for _ in relators]
+    stale = []  # members of the closures that read a changed relator
 
     def assign(g, queue):
         known[g] = True
         first.setdefault(component[g], g)
-        touched.extend(occ[g])
         for ri in occ[g]:
             unassigned[ri] -= 1
             if not closed[ri] and unassigned[ri] <= 1:
                 queue.append(ri)
+            # A stale closure is emptied, so it ranks no generator again.
+            for members in readers[ri]:
+                stale.extend(members)
+                members.clear()
+            readers[ri].clear()
 
     def level(gen, queue):
         """Replay the propagation that follows assigning ``gen``."""
@@ -275,8 +300,9 @@ def compile_plan(num_gens, relators, names):
             rel = relators[ri]
             regs = [2 * g + (e < 0) for g, e in rel]
             if unassigned[ri]:
-                pos = next(i for i, (g, _) in enumerate(rel) if not known[g])
-                g, e = rel[pos]
+                for pos, (g, e) in enumerate(rel):
+                    if not known[g]:
+                        break
                 rotation = regs[pos + 1:] + regs[:pos]  # post · pre
                 if e > 0:
                     rotation = [r ^ 1 for r in reversed(rotation)]
@@ -286,55 +312,64 @@ def compile_plan(num_gens, relators, names):
                 checks.append((tuple(regs[:-1]), regs[-1] ^ 1))
         return Level(gen, tuple(solves), tuple(checks), conj)
 
-    def rank(g):
-        """Branching key of unknown ``g`` and the relators it read.
+    def cascade(g, ranked):
+        """``(-relators closed, -len(solved), members, solved)`` for ``g``.
 
-        A cascade that changes no state.
+        A trial cascade that changes no state; ``solved`` is ``g``'s
+        closure, and ``members`` the generators that share it.
         """
         new, dropped, stack = {g}, {}, [g]
         closes = 0
         while stack:
             for ri in occ[stack.pop()]:
-                dropped[ri] = dropped.get(ri, 0) + 1
-                left = unassigned[ri] - dropped[ri]
+                dropped[ri] = drop = dropped.get(ri, 0) + 1
+                left = unassigned[ri] - drop
+                if left > 1:
+                    continue
                 if left == 0:
                     closes += 1
-                elif left == 1:
-                    # None when the open letter's generator is solved but
+                else:
+                    # The open letter's generator, unless it is solved but
                     # not yet popped.
-                    h = next((h for h, _ in relators[ri]
-                              if not known[h] and h not in new), None)
-                    if h is not None:
-                        new.add(h)
-                        stack.append(h)
-        return (-closes, -len(new), -len(occ[g]), names[g]), dropped
+                    for h, _ in relators[ri]:
+                        if not known[h] and h not in new:
+                            if h in ranked and g in ranked[h][3]:
+                                return ranked[h]
+                            new.add(h)
+                            stack.append(h)
+                            break
+        members = []
+        for ri in dropped:
+            readers[ri].append(members)
+        return -closes, -len(new), members, new
 
-    key = [None] * num_gens  # cached rank key of each unknown generator
-    reads = [()] * num_gens  # the relators that key read
-    readers = [set() for _ in relators]  # generators whose key read each
+    def rank(gens):
+        """Key these unknown generators, one trial cascade per closure."""
+        ranked = {}  # generator -> its closure, in this round's known set
+        for g in gens:
+            closure = ranked[g] = cascade(g, ranked)
+            closure[2].append(g)
+            key[g] = entry = (closure[0], closure[1], -len(occ[g]), names[g], g)
+            heappush(heap, entry)
+
+    key = [None] * num_gens  # each unknown generator's heap entry: key, then g
     heap = []
-
-    def rerank(g):
-        for ri in reads[g]:
-            readers[ri].discard(g)
-        key[g], reads[g] = rank(g)
-        for ri in reads[g]:
-            readers[ri].add(g)
-        heappush(heap, (key[g], g))
-
     pre = level(None, [ri for ri in range(len(relators)) if unassigned[ri] <= 1])
-    for g in range(num_gens):
-        if not known[g]:
-            rerank(g)
+    rank([g for g in range(num_gens) if not known[g]])
+    # Each unknown generator has its key in the heap; the entries left
+    # once all are known are stale.
+    unknown = num_gens - len(pre.solves)
     levels = []
-    while heap:
-        k, g = heappop(heap)
-        if known[g] or k != key[g]:
+    while unknown:
+        entry = heappop(heap)
+        g = entry[-1]
+        if known[g] or entry is not key[g]:
             continue
-        touched.clear()
         levels.append(level(g, []))
-        for h in {h for ri in touched for h in readers[ri] if not known[h]}:
-            rerank(h)
+        unknown -= 1 + len(levels[-1].solves)
+        gens = [h for h in stale if not known[h]]
+        stale.clear()
+        rank(gens)
     return Plan(num_gens, pre, tuple(levels))
 
 
@@ -376,38 +411,77 @@ def live_plan(plan, collect):
 _CHUNK = 32
 
 
-def _level_source(level, i, last):
-    """Source of level ``i``'s generator factory, and the factory's arguments.
+def _level_shape(level, i, last):
+    """Level ``i``'s shape, its registers by number, and those it stores.
 
     last: the :func:`live_plan` map from each register to the last level
         that reads it.  The level computes an inverse that it or a later
         level reads, and stores a value that a later level reads.
 
-    The source holds only fixed text and local names ``r0, r1, ...`` given
-    in order of first use, so levels that differ only in their register
-    numbers share one source.  The registers the level loads from ``val``
-    and stores into it are the factory's arguments.
+    The shape is ``(head, solves, checks, numbers, stores)``: ``head`` is
+    None for the pre-cascade, else whether the branched value's inverse is
+    computed; ``(length of word, inverse computed)`` per solve; the length
+    of each check's word; every register use, in the order the source
+    makes them, as the register's number in order of first use; and the
+    numbers of the values stored.
     """
-    names, loads, rows, lines = {}, {}, {}, []
+    order, defined, solves = [], [], []
+    head = None
+    if level.gen is not None:
+        reg = 2 * level.gen
+        head = last.get(reg + 1, -1) >= i
+        defined = [reg, reg + 1] if head else [reg]
+        order += defined
+    for word, reg in level.solves:
+        inverse = last.get(reg + 1, -1) >= i
+        new = (reg, reg + 1) if inverse else (reg,)
+        order += word
+        order += new
+        defined += new
+        solves.append((len(word), inverse))
+    for word, reg in level.checks:
+        order += word
+        order.append(reg)
+    names = {}
+    numbers = tuple([names.setdefault(reg, len(names)) for reg in order])
+    stores = [reg for reg in defined if last.get(reg, -1) > i]
+    shape = (head, tuple(solves), tuple([len(word) for word, _ in level.checks]),
+             numbers, tuple(map(names.__getitem__, stores)))
+    return shape, list(names), stores
 
-    def local(reg):
-        names[reg] = f"r{len(names)}"
-        return names[reg]
 
-    def name(reg):
-        if reg not in names:
-            loads[reg] = local(reg)
-        return names[reg]
+@lru_cache(maxsize=256)
+def _level_source(shape):
+    """The factory source for a :func:`_level_shape`, and the numbers it loads.
 
-    def inverse(reg):
-        if last.get(reg + 1, -1) >= i:
-            lines.append(f"{local(reg + 1)} = inv[{names[reg]}]")
+    The source holds only fixed text and local names ``r0, r1, ...`` by
+    register number.  The factory takes the registers first used as read,
+    which the level loads from ``val`` on entry, then those it stores.
+    """
+    head, solves, checks, numbers, stores = shape
+    numbers = iter(numbers)
+    named, loads, rows, lines = set(), {}, {}, []
 
-    def product(word):
-        if len(word) < 2:
+    def local():
+        k = next(numbers)
+        named.add(k)
+        return f"r{k}"
+
+    def name(k):
+        if k not in named:
+            named.add(k)
+            loads[k] = None
+        return f"r{k}"
+
+    def inverse(value):
+        lines.append(f"{local()} = inv[{value}]")
+
+    def product(length):
+        word = tuple(islice(numbers, length))
+        if length < 2:
             return name(word[0]) if word else "0"
         first = word[0]
-        if first in loads or first not in names:
+        if first in loads or first not in named:
             # A loaded value is the same at every candidate: take its row
             # of the table once, on entry.
             if first not in rows:
@@ -415,40 +489,44 @@ def _level_source(level, i, last):
                 name(first)
             row = rows[first]
         else:
-            row = f"mul[{names[first]}]"
+            row = f"mul[r{first}]"
         expr = f"{row}[{name(word[1])}]"
-        for k, reg in enumerate(word[2:], 1):
-            if k % _CHUNK == 0:
+        for j, k in enumerate(word[2:], 1):
+            if j % _CHUNK == 0:
                 lines.append(f"t = {expr}")
                 expr = "t"
-            expr = f"mul[{expr}][{name(reg)}]"
+            expr = f"mul[{expr}][{name(k)}]"
         return expr
 
-    if level.gen is None:
+    if head is None:
         loop = "for _ in cands:"
     else:
-        loop = f"for {local(2 * level.gen)} in cands:"
-        inverse(2 * level.gen)
-    for word, reg in level.solves:
-        value = product(word)
-        lines.append(f"{local(reg)} = {value}")
-        inverse(reg)
-    for word, reg in level.checks:
-        lines.append(f"if {product(word)} != {name(reg)}: continue")
-    stores = [reg for reg in names if reg not in loads and last.get(reg, -1) > i]
-    lines += [f"val[o{k}] = {names[reg]}" for k, reg in enumerate(stores)]
-    args = [f"i{k}" for k in range(len(loads))] + [f"o{k}" for k in range(len(stores))]
+        value = local()
+        loop = f"for {value} in cands:"
+        if head:
+            inverse(value)
+    for length, inv in solves:
+        expr = product(length)
+        value = local()
+        lines.append(f"{value} = {expr}")
+        if inv:
+            inverse(value)
+    for length in checks:
+        expr = product(length)
+        lines.append(f"if {expr} != {name(next(numbers))}: continue")
+    lines += [f"val[o{j}] = r{k}" for j, k in enumerate(stores)]
+    args = [f"i{j}" for j in range(len(loads))] + [f"o{j}" for j in range(len(stores))]
     source = "\n".join([
         f"def factory({', '.join(args)}):",
         "    def level(val, mul, inv, cands):",
-        *(f"        {names[reg]} = val[i{k}]" for k, reg in enumerate(loads)),
-        *(f"        {row} = mul[{names[reg]}]" for reg, row in rows.items()),
+        *(f"        r{k} = val[i{j}]" for j, k in enumerate(loads)),
+        *(f"        {row} = mul[r{k}]" for k, row in rows.items()),
         f"        {loop}",
         *(f"            {line}" for line in lines),
         "            yield True",
         "    return level",
     ])
-    return source, [*loads, *stores]
+    return source, tuple(loads)
 
 
 @lru_cache(maxsize=256)
@@ -466,10 +544,13 @@ def _level_functions(plan, collect):
     """
     if collect not in plan.kernels:
         levels, last = live_plan(plan, collect)
-        plan.kernels[collect] = tuple(
-            _factory(source)(*args)
-            for source, args in (_level_source(level, i, last)
-                                 for i, level in enumerate(levels)))
+        functions = []
+        for i, level in enumerate(levels):
+            shape, registers, stores = _level_shape(level, i, last)
+            source, loads = _level_source(shape)
+            functions.append(_factory(source)(
+                *[registers[k] for k in loads], *stores))
+        plan.kernels[collect] = tuple(functions)
     return plan.kernels[collect]
 
 

@@ -103,7 +103,7 @@ def _compiled(p: FinitePresentation):
     """The presentation's search plan, ties in branching order broken by name."""
     gens = list(p.generators)
     index = {g: i for i, g in enumerate(gens)}
-    relators = tuple(tuple((index[g], e) for g, e in rel) for rel in p.relators)
+    relators = tuple([tuple([(index[g], e) for g, e in rel]) for rel in p.relators])
     return _kernel.compile_plan(len(gens), relators, gens)
 
 

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import random
+import time
 import weakref
 from array import array
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borrays.diagrams import bar, builtin, concat, forget, star
+from borrays.diagrams import BUILTIN_NAMES, bar, builtin, concat, forget, star
 from borrays.errors import BudgetExceededError, IntegrityError
 from borrays.homcount import (
     DEFAULT_BUDGET,
@@ -613,6 +614,10 @@ def _level_order(p):
 @example(FinitePresentation(("a", "b", "c", "d"), (
     (("a", 1), ("a", 1)), (("a", 1),) * 3, (("b", 1), ("c", 1)),
     (("c", 1), ("d", -1)))))
+# Once a is known, b, c, d and e share one closure and tie on everything
+# but occurrences and names.
+@example(FinitePresentation(("a", "b", "c", "d", "e"), tuple(
+    ((x, 1), ("a", 1), (y, -1)) for x, y in ("bc", "cd", "de"))))
 def test_plan_order_matches_greedy_oracle(p):
     assert _level_order(p) == helpers.greedy_order_oracle(p.generators, p.relators)
 
@@ -631,6 +636,95 @@ def test_plan_of_a_1000_block_word_is_pinned():
     assert len(order) == 1002
     assert order[:10] == ["x100", "y100", "z100", "x102", "x104", "x106",
                           "x108", "x110", "x98", "x96"]
+
+
+def _chain(n):
+    """Generators a, g0..gN with relators g_i a g_{i+1}^-1: a 2-level plan."""
+    names = ("a", *(f"g{i}" for i in range(n + 1)))
+    return n + 2, tuple(((i, 1), (0, 1), (i + 1, -1)) for i in range(1, n + 1)), names
+
+
+def _random_presentation(rng):
+    """Up to 8 generators and 8 relators; 40% of the relators a u b^-1 u^-1."""
+    k = rng.randint(1, 8)
+    names = rng.sample("abcdefgh", k)
+
+    def word(length):
+        return [(rng.randrange(k), rng.choice((1, -1))) for _ in range(length)]
+
+    relators = []
+    for _ in range(rng.randint(0, 8)):
+        if rng.random() < 0.4:
+            u = word(rng.randint(0, 3))
+            rel = [(rng.randrange(k), 1), *u, (rng.randrange(k), -1),
+                   *((g, -e) for g, e in reversed(u))]
+            cut = rng.randrange(len(rel))
+            relators.append(tuple(rel[cut:] + rel[:cut]))
+        else:
+            relators.append(tuple(word(rng.randint(0, 8))))
+    return k, tuple(relators), names
+
+
+def _plan_corpus():
+    """(num_gens, relators, names) of the builtins, seeded block words
+    with bar and star, seeded random presentations and short chains."""
+    def compiled(p):
+        index = {g: i for i, g in enumerate(p.generators)}
+        return (len(p.generators), tuple(tuple((index[g], e) for g, e in rel)
+                                         for rel in p.relators), p.generators)
+
+    rng = random.Random(24)
+    corpus = [compiled(presentation(builtin(name), outer))
+              for name in BUILTIN_NAMES for outer in (False, True)]
+    corpus += [compiled(presentation(_seeded_block_word(rng, length)))
+               for length in range(1, 79)]
+    corpus += [_random_presentation(rng) for _ in range(300)]
+    corpus += [_chain(n) for n in range(51)]
+    return corpus
+
+
+def test_plans_of_a_seeded_corpus_are_pinned():
+    # Every plan's pre-cascade and levels, as (gen, solves, checks, conj).
+    # The digest is that of the planner before ranks were shared per
+    # closure: a planner change that keeps it makes the same plans.
+    steps = []
+    for num_gens, relators, names in _plan_corpus():
+        plan = _kernel.compile_plan(num_gens, relators, names)
+        steps.append([(level.gen, level.solves, level.checks, level.conj)
+                      for level in (plan.pre, *plan.levels)])
+    assert hashlib.sha256(repr(steps).encode()).hexdigest() == (
+        "a3f9cd6e8e856a131036e26a75d275105ffcddfff456f32ad56c28b8b028aeba")
+
+
+def test_chain_plans_in_linear_time():
+    # Every g_i shares one closure once a is known; ranking each g_i by its
+    # own cascade took quadratic time (8.9 s of CPU at this length).
+    num_gens, relators, names = _chain(3000)
+    start = time.process_time()
+    plan = _kernel.compile_plan(num_gens, relators, names)
+    assert time.process_time() - start < 1
+    # g1 leads the ties: two occurrences, and the least such name.
+    assert [names[level.gen] for level in plan.levels] == ["a", "g1"]
+    assert len(plan.levels[1].solves) == 3000
+
+
+def test_level_sources_are_cached_per_shape():
+    # A cached source was rendered for an earlier level of the same shape;
+    # it must equal the render of this level's own shape.
+    render = _kernel._level_source
+    assert render.cache_info().maxsize == 256
+    render.cache_clear()
+    levels = 0
+    for num_gens, relators, names in _plan_corpus():
+        plan = _kernel.compile_plan(num_gens, relators, names)
+        for collect in (True, False):
+            live, last = _kernel.live_plan(plan, collect)
+            for i, level in enumerate(live):
+                shape = _kernel._level_shape(level, i, last)[0]
+                assert render(shape) == render.__wrapped__(shape)
+                levels += 1
+    info = render.cache_info()
+    assert info.hits + info.misses == levels and info.hits > levels // 2
 
 
 def test_live_plan_drops_dead_solves_unless_collected():
@@ -806,6 +900,26 @@ def test_search_stops_at_a_fixed_level_whose_check_fails(collect):
 def test_conjugate_pairs_are_read_off_relators(rel, pair):
     # a^e u b^-e u^-1, read cyclically, makes a and b conjugate.
     assert _kernel._conjugate_pair(rel) == pair
+
+
+def test_conjugate_pairs_match_a_rotation_oracle():
+    # Every word of up to 6 letters on 2 generators and of 4 letters (the
+    # crossing relators, read by an unrolled check) on 3.
+    def oracle(rel):
+        half = len(rel) // 2
+        for i in range(half if len(rel) % 2 == 0 else 0):
+            r = rel[i:] + rel[:i]
+            u = r[1:half]
+            if (r[half][1] == -r[0][1]
+                    and r[half + 1:] == tuple((g, -e) for g, e in reversed(u))):
+                return r[0][0], r[half][0]
+        return None
+
+    letters = [(g, e) for g in range(3) for e in (1, -1)]
+    words = [w for k in range(7) for w in product(letters[:4], repeat=k)]
+    words += product(letters, repeat=4)
+    for rel in words:
+        assert _kernel._conjugate_pair(rel) == oracle(rel), rel
 
 
 def _conj_free(plan):
