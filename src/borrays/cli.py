@@ -53,6 +53,9 @@ def _diagram_from_args(args):
 def _cmd_present(args, out):
     d = _diagram_from_args(args)
     p = presentation(d, include_outer_vertex=args.outer_vertex)
+    # Tietze moves keep the group, so H1 is read off the unsimplified
+    # words, which are far shorter than the simplified ones can grow.
+    inv = abelianization(p) if args.abelianization else None
     if args.simplify:
         p = tietze_simplify(p)
     if args.json:
@@ -61,13 +64,11 @@ def _cmd_present(args, out):
             "relators": [[[g, e] for g, e in rel] for rel in p.relators],
         }
         if args.abelianization:
-            inv = abelianization(p)
             obj["abelianization"] = {"rank": inv.rank, "torsion": list(inv.torsion)}
         out.write(json.dumps(obj) + "\n")
     else:
         out.write(format_presentation(p) + "\n")
         if args.abelianization:
-            inv = abelianization(p)
             out.write(f"abelianization: rank {inv.rank}, torsion {list(inv.torsion)}\n")
     return 0
 
@@ -233,7 +234,8 @@ def _build_parser():
     p.add_argument("--outer-vertex", action="store_true",
                    help="include the redundant outer vertex relation")
     p.add_argument("--abelianization", action="store_true",
-                   help="also print the abelianization invariants")
+                   help="also print the abelianization invariants of the presented "
+                        "group (unchanged by --simplify)")
     p.set_defaults(func=_cmd_present)
 
     p = sub.add_parser("homcount",

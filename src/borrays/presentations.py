@@ -8,7 +8,9 @@ order starting from strand 1, is trivial.
 ``abelianization`` reads H1 off the relators' exponent sums by a sparse
 integer Smith normal form: each crossing row holds just ``before - after``,
 so elimination with unit pivots stays sparse and takes about linear time
-in the length of a block word.
+in the length of a block word.  Tietze moves keep the presented group, so
+H1 is read from the unsimplified presentation: ``tietze_simplify`` can
+grow the words exponentially, and the CLI abelianizes before simplifying.
 """
 
 import string
@@ -193,14 +195,16 @@ def _letter_positions(word, g):
     return found
 
 
-def _splice(out, word):
+def _splice(out, word, counts):
     """Append freely reduced ``word`` to freely reduced ``out`` in place.
 
-    Only the junction can cancel, so ``out`` stays freely reduced.
+    Only the junction can cancel, so ``out`` stays freely reduced.  Each
+    cancelled pair takes 2 off its generator's entry in ``counts``.
     """
     j, n = 0, len(word)
     while j < n and out and out[-1][0] == word[j][0] and out[-1][1] == -word[j][1]:
         out.pop()
+        counts[word[j][0]] -= 2
         j += 1
     out.extend(word[j:])
 
@@ -225,6 +229,15 @@ def tietze_simplify(p: FinitePresentation) -> FinitePresentation:
     word's free reduction is unique, so the result is the relator's
     ``cyclic_reduce`` after substitution.
 
+    A rewritten relator's letter counts come from its old counts by
+    arithmetic, never by recounting its letters: the eliminated
+    generator's k occurrences go, k times the solution's counts come in
+    (the solving relator's counts less the generator, so the solution is
+    never counted either), every pair cancelled at a junction or stripped
+    from the ends takes 2 off its generator, and zero entries are dropped.
+    Inverse words map a letter-to-inverse table over the reversed word,
+    so they reuse that table's letters rather than build new ones.
+
     Raises ValueError once the relators being held would exceed
     MAX_TIETZE_LETTERS letters.
     """
@@ -235,11 +248,19 @@ def tietze_simplify(p: FinitePresentation) -> FinitePresentation:
             words[len(words)] = r
     total = sum(map(len, words.values()))
     _check_letters(total)
+    inv = {}  # letter -> its inverse letter
+    for g in p.generators:
+        inv[g, 1], inv[g, -1] = (g, -1), (g, 1)
+
+    def invert(word):
+        return tuple(map(inv.__getitem__, reversed(word)))
+
     counts, version, occ, heap = {}, {}, {}, []
 
-    def index(rid, word):
-        """Record a new or rewritten relator and push its candidates."""
-        counts[rid] = c = Counter(map(itemgetter(0), word))
+    def index(rid, word, c):
+        """Record a new or rewritten relator with letter counts c and push
+        its candidates."""
+        counts[rid] = c
         version[rid] = v = version.get(rid, -1) + 1
         for g, k in c.items():
             occ.setdefault(g, set()).add(rid)
@@ -247,45 +268,53 @@ def tietze_simplify(p: FinitePresentation) -> FinitePresentation:
                 heappush(heap, (len(word), g, rid, v))
 
     def unindex(rid):
-        for g in counts.pop(rid):
+        """Drop a relator from the occurrence index and return its counts."""
+        c = counts.pop(rid)
+        for g in c:
             occ[g].discard(rid)
+        return c
 
     for rid, word in words.items():
-        index(rid, word)
+        index(rid, word, Counter(map(itemgetter(0), word)))
     eliminated = set()
     while heap:
         _, g, ri, v = heappop(heap)
         if version.get(ri) != v:
             continue
         rel = words.pop(ri)
-        unindex(ri)
-        del version[ri]
+        sol_counts = unindex(ri)
+        del sol_counts[g], version[ri]
         total -= len(rel)
         pos = _letter_positions(rel, g)[0]
         e = rel[pos][1]
         # before * g^e * after = 1, so g^e = (after * before)^-1.  The
         # rotation is freely reduced because rel is cyclically reduced.
         rotation = rel[pos + 1:] + rel[:pos]
-        sol = rotation if e == -1 else invert_word(rotation)
-        sol_inv = invert_word(sol)
+        sol = rotation if e == -1 else invert(rotation)
+        sol_inv = invert(sol)
         eliminated.add(g)
         for rid in sorted(occ[g]):
             old = words[rid]
-            unindex(rid)
+            c = unindex(rid)
+            k = c.pop(g)
+            for h, n in sol_counts.items():
+                c[h] = c.get(h, 0) + k * n
             base = total - len(old)
             out, start = [], 0
             for i in _letter_positions(old, g):
-                _splice(out, old[start:i])
-                _splice(out, sol if old[i][1] == 1 else sol_inv)
+                _splice(out, old[start:i], c)
+                _splice(out, sol if old[i][1] == 1 else sol_inv, c)
                 _check_letters(base + len(out))
                 start = i + 1
-            _splice(out, old[start:])
+            _splice(out, old[start:], c)
             _check_letters(base + len(out))
             word = _strip_ends(out)
             total = base + len(word)
             if word:
+                for h, _ in out[:(len(out) - len(word)) // 2]:
+                    c[h] -= 2
                 words[rid] = word
-                index(rid, word)
+                index(rid, word, {h: n for h, n in c.items() if n})
             else:
                 del words[rid], version[rid]
         del occ[g]
@@ -414,14 +443,14 @@ def format_presentation(p: FinitePresentation) -> str:
     start with a lowercase letter a-z; commas and whitespace separate
     tokens, so no name may hold either.  Any other name raises ValueError.
     """
-    token = {}
+    upper = {}  # name -> the token of its inverse
     for g in p.generators:
         if type(g) is not str or not "a" <= g[:1] <= "z":
             raise ValueError(f"generator {g!r} does not start with a letter a-z")
         if "," in g or any(map(str.isspace, g)):
             raise ValueError(f"generator {g!r} holds a comma or whitespace")
-        token[g, 1] = g
-        token[g, -1] = g[:1].upper() + g[1:]
+        upper[g] = g[:1].upper() + g[1:]
     lines = ["gens: " + ",".join(p.generators)]
-    lines.extend(" ".join(map(token.__getitem__, rel)) for rel in p.relators)
+    lines.extend(" ".join([g if e == 1 else upper[g] for g, e in rel])
+                 for rel in p.relators)
     return "\n".join(lines)

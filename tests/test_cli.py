@@ -266,6 +266,30 @@ def test_present_abelianization_of_a_long_word(capsys):
     assert out.splitlines()[-1] == "abelianization: rank 2, torsion []"
 
 
+def _seeded_block_word():
+    rng = random.Random(25)
+    return " ".join(rng.choice(("A", "Ab", "As", "Abs", "dirac", "eps3"))
+                    for _ in range(6))
+
+
+@pytest.mark.parametrize("expr", [*diagrams.BUILTIN_NAMES, _seeded_block_word()])
+@pytest.mark.parametrize("outer", [[], ["--outer-vertex"]])
+def test_present_abelianization_is_unchanged_by_simplify(capsys, expr, outer):
+    argv = ["present", "--expr", expr, "--abelianization", *outer]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, simplified, err = run(capsys, *argv, "--simplify")
+    assert (code, err) == (0, "")
+    assert simplified.splitlines()[-1] == out.splitlines()[-1]
+    assert out.splitlines()[-1].startswith("abelianization: rank ")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    code, simplified, _ = run(capsys, "--json", *argv, "--simplify")
+    assert code == 0
+    assert (json.loads(simplified)["abelianization"]
+            == json.loads(out)["abelianization"])
+
+
 def test_global_flags_go_before_the_subcommand(capsys):
     code, out, _ = run(capsys, "--json", "present", "--expr", "A")
     assert code == 0
@@ -321,6 +345,17 @@ def test_present_simplify_blow_up_is_a_user_error(capsys):
     # Three copies of A Ab As Abs would simplify past the letter cap.
     word = " ".join(["A", "Ab", "As", "Abs"] * 3)
     code, out, err = run(capsys, "present", "--simplify", "--expr", word)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: Tietze simplification would hold more than "
+                   f"{MAX_TIETZE_LETTERS} relator letters\n")
+
+
+def test_present_simplify_blow_up_with_abelianization_prints_nothing(capsys):
+    # H1 is computed before Tietze runs; the cap still ends the command.
+    word = " ".join(["A", "Ab", "As", "Abs"] * 3)
+    code, out, err = run(capsys, "present", "--simplify", "--abelianization",
+                         "--expr", word)
     assert code == 1
     assert out == ""
     assert err == ("error: Tietze simplification would hold more than "

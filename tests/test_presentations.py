@@ -150,11 +150,11 @@ def test_exponent_that_is_not_an_int_is_refused(e):
         FinitePresentation(("a",), ((("a", e),),))
 
 
-def test_tietze_preserves_abelianization_on_a():
-    p = presentation(builtin("A"))
-    q = tietze_simplify(p)
-    assert len(q.generators) < len(p.generators)
-    assert abelianization(p) == abelianization(q)
+@settings(max_examples=300, deadline=None)
+@given(helpers.presentations())
+@example(presentation(builtin("A")))
+def test_tietze_preserves_abelianization(p):
+    assert abelianization(tietze_simplify(p)) == abelianization(p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -162,6 +162,17 @@ def test_tietze_preserves_abelianization_on_a():
 # Equal candidate keys in two relators: the earlier relator is consumed.
 @example(FinitePresentation(("x1", "y1", "z1"), (
     (("y1", 1), ("x1", 1), ("y1", 1)), (("z1", 1), ("x1", -1), ("z1", 1)))))
+# x1 = Z1 Y1 cancels at both junctions of z1 x1 y1 z1 y1 y2 y2, leaving
+# z1 y1 y2 y2: z1 and y1 each drop to one letter only if both junctions'
+# pairs come off their counts.
+@example(FinitePresentation(("x1", "y1", "z1", "y2"), (
+    (("x1", 1), ("y1", 1), ("z1", 1)),
+    (("z1", 1), ("x1", 1), ("y1", 1), ("z1", 1), ("y1", 1), ("y2", 1), ("y2", 1)))))
+# x1 = Y1 turns x1 z1 y1 z1 z1 y1 into Y1 z1 y1 z1 z1 y1, whose end pair
+# is stripped: y1 drops to one letter only if that pair comes off its count.
+@example(FinitePresentation(("x1", "y1", "z1"), (
+    (("x1", 1), ("y1", 1)),
+    (("x1", 1), ("z1", 1), ("y1", 1), ("z1", 1), ("z1", 1), ("y1", 1)))))
 def test_tietze_matches_rescan_oracle(p):
     q = tietze_simplify(p)
     assert q == helpers.tietze_rescan_oracle(p)
@@ -194,6 +205,12 @@ def test_tietze_matches_rescan_oracle_on_benchmark_words():
         q = tietze_simplify(p)
         assert q == helpers.tietze_rescan_oracle(p), word
         assert FinitePresentation(q.generators, q.relators) == q, word
+
+
+def test_tietze_preserves_abelianization_on_benchmark_words():
+    for word in _benchmark_simplify_words():
+        p = presentation(concat(*map(builtin, word.split())))
+        assert abelianization(tietze_simplify(p)) == abelianization(p), word
 
 
 def test_tietze_output_of_two_prefix_copies_is_pinned():
