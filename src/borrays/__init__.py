@@ -45,7 +45,6 @@ from .sequences import (
     achiral,
     equivalence,
     parse_sequence,
-    periodic_form_achiral,
     tails_equal,
     transform,
     value_at,
@@ -65,7 +64,6 @@ __all__ = [
     "FinitePresentation", "abelianization", "format_presentation",
     "presentation", "tietze_simplify",
     "EquivalenceReport", "EventuallyPeriodicSeq", "achiral", "equivalence",
-    "parse_sequence", "periodic_form_achiral", "tails_equal", "transform",
-    "value_at",
+    "parse_sequence", "tails_equal", "transform", "value_at",
     "__version__",
 ]

@@ -60,13 +60,16 @@ shape to source (:func:`_level_source`) and one from source to factory
 two lookups; the functions for one plan, per ``collect`` mode, hang on
 the plan itself.
 
-Every Wirtinger crossing relator is cyclically ``a u b^-1 u^-1``, so it
-makes ``a`` and ``b`` conjugate in the presented group, and
-:func:`compile_plan` joins such generators by union-find.  A level whose
-generator is conjugate to one known before it (``Level.conj``) can only
-take a value in the conjugacy class of that known value in the group
-searched: ``a = w b w^-1`` gives ``phi(a) = phi(w) phi(b) phi(w)^-1``
-with ``phi(w)`` in the group, Sym(n) or a centralizer alike.
+Every Wirtinger crossing relator is cyclically ``a u b^-1 u^-1`` with
+``u`` one letter, or ``a b^-1`` once a kink's relator freely reduces, so
+it makes ``a`` and ``b`` conjugate in the presented group, and
+:func:`compile_plan` joins such generators by union-find; these four- and
+two-letter shapes are the only ones it reads (:func:`_conjugate_pair`).
+A level whose generator is conjugate to one known before it
+(``Level.conj``) can only take a value in the conjugacy class of that
+known value in the group searched: ``a = w b w^-1`` gives ``phi(a) =
+phi(w) phi(b) phi(w)^-1`` with ``phi(w)`` in the group, Sym(n) or a
+centralizer alike.
 
 :func:`search_homs` runs all the terms of one group's orbit split in one
 stack of these generators: the pre-cascade over the one candidate ``0``,
@@ -185,33 +188,24 @@ class Plan:
 
 
 def _conjugate_pair(rel):
-    """(a, b) if ``rel`` is cyclically ``a^e u b^-e u^-1``, else None.
+    """(a, b) if ``rel`` makes ``a`` and ``b`` conjugate, else None.
 
-    Such a relator says ``a^e = u b^e u^-1``, so ``a`` and ``b`` are
-    conjugate in the presented group.  Around the letter of ``a``, the
-    letters at distance ``j`` on either side are inverse for ``j`` below
-    half the length, and the letter at half the length is ``b^-e``.
+    Reads the two shapes that :func:`borrays.presentations.presentation`
+    gives a crossing relator: four letters, cyclically ``a^e u b^-e
+    u^-1`` with ``u`` one letter, which says ``a^e = u b^e u^-1``; and
+    ``a^e b^-e``, to which a kink's relator freely reduces.  A longer
+    relator of the conjugate form, as only a hand-built presentation has,
+    reads None: the plan then restricts fewer levels.
     """
-    size = len(rel)
-    if size == 4:  # a crossing relator: the loop below, unrolled
+    if len(rel) == 4:
         (a, e), (c, f), (b, g), (d, h) = rel
         if e == -g and c == d and f == -h:
             return a, b
         if f == -h and a == b and e == -g:
             return c, d
-        return None
-    if size % 2:
-        return None
-    half = size // 2
-    for i in range(half):
-        (a, e), (b, f) = rel[i], rel[i + half]
-        if e != -f:
-            continue
-        for j in range(1, half):
-            g, d = rel[i - j]
-            if rel[(i + j) % size] != (g, -d):
-                break
-        else:
+    elif len(rel) == 2:
+        (a, e), (b, f) = rel
+        if e == -f:
             return a, b
     return None
 
@@ -242,10 +236,11 @@ def compile_plan(num_gens, relators, names):
     level branches on the generator a full re-ranking would choose, and
     the plan is the same.
 
-    Relators that are cyclically ``a u b^-1 u^-1``, as every Wirtinger
-    crossing relator is, join ``a`` and ``b`` in one conjugacy component
-    (union-find).  A level whose generator shares a component with a
-    generator already known records the first of these as ``conj``.
+    The relators of the two shapes a Wirtinger crossing relator takes,
+    cyclically ``a^e u b^-e u^-1`` with ``u`` one letter, and ``a^e
+    b^-e``, join ``a`` and ``b`` in one conjugacy component (union-find).
+    A level whose generator shares a component with a generator already
+    known records the first of these as ``conj``.
     """
     root = list(range(num_gens))
 

@@ -74,8 +74,6 @@ def _cmd_present(args, out):
 
 
 def _cmd_homcount(args, out):
-    if args.sym < 1:
-        raise ValueError("--sym must be a positive integer")
     if 6 <= args.sym <= MAX_DEGREE and not args.deep:
         raise ValueError(
             f"counting into Sym({args.sym}) can take a long time; pass --deep to proceed"

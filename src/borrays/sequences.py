@@ -11,6 +11,11 @@ tail-equivalent to its own bar or its own star transform.
 
 Only eventually periodic sequences are handled: tail comparison then
 reduces to cyclic-rotation equality of minimal period words.
+
+The paper's second characterization of achirality, a tail of the form
+C bar(C) C bar(C) ... or C star(C) ..., is a cubic search over words C;
+no command needs it, so it lives in the tests (``tests/helpers.py``) as
+an oracle for :func:`achiral`.
 """
 
 from dataclasses import dataclass
@@ -27,17 +32,9 @@ __all__ = [
     "tails_equal",
     "equivalence",
     "achiral",
-    "periodic_form_achiral",
     "parse_sequence",
     "format_sequence",
 ]
-
-_OPS = {
-    "bar": lambda lab: lab.bar(),
-    "star": lambda lab: lab.star(),
-    "barstar": lambda lab: lab.barstar(),
-}
-
 
 @dataclass(frozen=True)
 class EventuallyPeriodicSeq:
@@ -96,12 +93,10 @@ def value_at(s: EventuallyPeriodicSeq, i: int) -> BlockLabel:
 
 def transform(s: EventuallyPeriodicSeq, op: str) -> EventuallyPeriodicSeq:
     """Apply bar, star, or barstar to every entry."""
-    try:
-        f = _OPS[op]
-    except KeyError:
-        raise ValueError(
-            f"unknown transform {op!r}; expected one of {sorted(_OPS)}"
-        ) from None
+    ops = ("bar", "barstar", "star")
+    if op not in ops:
+        raise ValueError(f"unknown transform {op!r}; expected one of {list(ops)}")
+    f = getattr(BlockLabel, op)
     return EventuallyPeriodicSeq(
         tuple(f(lab) for lab in s.preperiod),
         tuple(f(lab) for lab in s.period),
@@ -131,12 +126,6 @@ def _letters(word) -> str:
     return "".join(map(_CHAR.__getitem__, word))
 
 
-def _tail_word(s: EventuallyPeriodicSeq):
-    """(minimal period word w, L) with value_at(s, i) = w[(i-L-1) mod |w|]
-    for all i > L, where L = len(preperiod)."""
-    return _minimal_period(s.period), len(s.preperiod)
-
-
 def tails_equal(s: EventuallyPeriodicSeq, t: EventuallyPeriodicSeq) -> TailMatch:
     """Do s and t have identical tails up to an index shift?
 
@@ -148,8 +137,9 @@ def tails_equal(s: EventuallyPeriodicSeq, t: EventuallyPeriodicSeq) -> TailMatch
     witness reports the smallest |n| (ties toward nonnegative n) and a
     valid N.
     """
-    w_s, ls = _tail_word(s)
-    w_t, lt = _tail_word(t)
+    # value_at(s, i) = w_s[(i - ls - 1) mod |w_s|] for all i > ls.
+    w_s, ls = _minimal_period(s.period), len(s.preperiod)
+    w_t, lt = _minimal_period(t.period), len(t.preperiod)
     p = len(w_s)
     if p != len(w_t):
         return TailMatch(False)
@@ -187,32 +177,6 @@ def achiral(s: EventuallyPeriodicSeq):
         if match.holds:
             return True, op, match
     return False, None, None
-
-
-def periodic_form_achiral(s: EventuallyPeriodicSeq) -> bool:
-    """Does some tail of s read C bar(C) C bar(C) ... or C star(C) ... ?
-
-    Searches words C up to the minimal tail period in length; a longer C
-    cannot generate a shorter-period tail.
-    """
-    w, _ = _tail_word(s)
-    p = len(w)
-    for r in range(p):
-        rot = w[r:] + w[:r]
-
-        def tail_at(idx):
-            return rot[idx % p]
-
-        for length in range(1, p + 1):
-            c = tuple(tail_at(i) for i in range(length))
-            for op in ("bar", "star"):
-                f = _OPS[op]
-                u = c + tuple(f(lab) for lab in c)
-                # Two periodic words agreeing this long agree forever.
-                horizon = 2 * length + p
-                if all(u[i % len(u)] == tail_at(i) for i in range(horizon)):
-                    return True
-    return False
 
 
 def parse_sequence(text: str) -> EventuallyPeriodicSeq:

@@ -1,7 +1,8 @@
 """Shared test utilities: hypothesis strategies and oracles."""
 
+from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from hypothesis import strategies as st
 
@@ -184,6 +185,45 @@ def tails_witness_oracle(s, t):
     while n % p not in residues:
         n = -n if n > 0 else -n + 1
     return True, n, max(1, ls + 1, lt + 1 - n)
+
+
+def periodic_form_achiral(s):
+    """Does some tail of s read C bar(C) C bar(C) ... or C star(C) ... ?
+
+    The paper's second characterization of achirality, by a cubic search:
+    every rotation of the primitive period root, and every word C up to
+    the root's length; a longer C cannot generate a shorter-period tail.
+    """
+    w = _primitive_root(s.period)
+    p = len(w)
+    for r in range(p):
+        rot = w[r:] + w[:r]
+        for length in range(1, p + 1):
+            c = tuple(rot[i % p] for i in range(length))
+            for op in ("bar", "star"):
+                u = c + tuple(getattr(lab, op)() for lab in c)
+                # Two periodic words agreeing this long agree forever.
+                horizon = 2 * length + p
+                if all(u[i % len(u)] == rot[i % p] for i in range(horizon)):
+                    return True
+    return False
+
+
+def subgroup_counts(totals):
+    """a_1..a_n, the numbers of subgroups of index 1..n, by Hall's formula.
+
+    ``totals[k - 1]`` is h_k, the number of homomorphisms into Sym(k), and
+    h_0 = 1 (M. Hall, *Subgroups of finite index in free groups*, 1949):
+    a_n = h_n / (n-1)! - sum over k from 1 to n-1 of h_{n-k} a_k / (n-k)!.
+    The values are exact fractions, so totals that are no group's hom
+    counts can show as a non-integer or a negative.
+    """
+    h = [1, *totals]
+    a = []
+    for n in range(1, len(h)):
+        a.append(Fraction(h[n], factorial(n - 1)) - sum(
+            Fraction(h[n - k], factorial(n - k)) * a[k - 1] for k in range(1, n)))
+    return a
 
 
 def _determinant(mat):

@@ -2,7 +2,8 @@
 
 Each test prints a single PASS/FAIL line on the real stdout so the
 verdicts are visible regardless of capture settings.  The Sym(6)
-columns have no runtime bound and only run under ``pytest --deep``.
+columns are checked by both methods, after the runtime bound of the
+Sym(1..5) values.
 """
 
 import functools
@@ -22,14 +23,17 @@ from borrays.groupoid import (
     excluded_closure,
     realized_closure,
 )
-from borrays.homcount import count_classes_burnside, count_classes_enumerate
+from borrays.homcount import (
+    count_classes_burnside,
+    count_classes_enumerate,
+    symmetric_group,
+)
 from borrays.labels import A, AB, ALL_LABELS, AS
 from borrays.presentations import FinitePresentation, presentation
 from borrays.sequences import (
     EventuallyPeriodicSeq,
     achiral,
     equivalence,
-    periodic_form_achiral,
     tails_equal,
     transform,
 )
@@ -76,19 +80,21 @@ def classes(diagram, n, method=count_classes_burnside):
     return method(presentation(diagram), n).class_count
 
 
-def classes_by_both_methods(diagram, n):
-    """The class count, which enumeration and Burnside must agree on."""
+def classes_by_both_methods(diagram, n, sym):
+    """The class count into Sym(n), which enumeration and Burnside must
+    agree on; both search ``sym``, one table of Sym(n)."""
     p = presentation(diagram)
-    e, b = count_classes_enumerate(p, n), count_classes_burnside(p, n)
+    e = count_classes_enumerate(p, n, sym=sym)
+    b = count_classes_burnside(p, n, sym=sym)
     assert (e.class_count, e.total_homs) == (b.class_count, b.total_homs)
     return e.class_count
 
 
 # ---------------------------------------------------------------------------
 
-@criterion(1, "single-block class counts into Sym(1..5) "
-              "(and Sym(6) by both methods if deep)")
-def test_criterion_1_single_block_table(deep):
+@criterion(1, "single-block class counts into Sym(1..5), "
+              "and Sym(6) by both methods")
+def test_criterion_1_single_block_table():
     t0 = time.monotonic()
     eps3, a = builtin("eps3"), builtin("A")
     for n, want in enumerate([1, 4, 11, 43, 161], start=1):
@@ -96,14 +102,14 @@ def test_criterion_1_single_block_table(deep):
     for n, want in enumerate([1, 4, 11, 47, 193], start=1):
         assert classes(a, n) == want
     assert time.monotonic() - t0 < 60
-    if deep:
-        assert classes_by_both_methods(eps3, 6) == 901
-        assert classes_by_both_methods(a, 6) == 1317
+    sym6 = symmetric_group(6)
+    assert classes_by_both_methods(eps3, 6, sym6) == 901
+    assert classes_by_both_methods(a, 6, sym6) == 1317
 
 
-@criterion(2, "two-block product counts into Sym(4..5) "
-              "(and Sym(6) by both methods if deep)")
-def test_criterion_2_product_table(deep):
+@criterion(2, "two-block product counts into Sym(4..5), "
+              "and Sym(6) by both methods")
+def test_criterion_2_product_table():
     t0 = time.monotonic()
     a = builtin("A")
     products = [concat(a, builtin(name)) for name in ("A", "Ab", "As", "Abs")]
@@ -112,9 +118,9 @@ def test_criterion_2_product_table(deep):
     for d, want in zip(products, (342, 342, 354, 330)):
         assert classes(d, 5) == want
     assert time.monotonic() - t0 < 900
-    if deep:
-        for d, want in zip(products, (3111, 3255, 3525, 3105)):
-            assert classes_by_both_methods(d, 6) == want
+    sym6 = symmetric_group(6)
+    for d, want in zip(products, (3111, 3255, 3525, 3105)):
+        assert classes_by_both_methods(d, 6, sym6) == want
 
 
 @criterion(3, "Sym(4) counts separate the A block from the trivial block")
@@ -205,7 +211,7 @@ def _prop_outer_vertex_redundant(d, n):
 @settings(max_examples=200, deadline=None)
 @given(helpers.sequences())
 def _prop_achirality_agreement(s):
-    assert achiral(s)[0] == periodic_form_achiral(s)
+    assert achiral(s)[0] == helpers.periodic_form_achiral(s)
 
 
 @settings(max_examples=200, deadline=None)

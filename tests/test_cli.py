@@ -71,6 +71,33 @@ def test_homcount_degree_above_max_is_a_user_error(capsys, deep):
             assert f"MAX_DEGREE = {MAX_DEGREE}" in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_homcount_counts_into_sym0(capsys, json_flag):
+    # The library decides which degrees count: Sym(0) has one element, so
+    # one homomorphism and one class, by either method.
+    code, out, err = run(capsys, *json_flag, "homcount", "--expr", "A",
+                         "--sym", "0", "--method", "both")
+    assert (code, err) == (0, "")
+    if json_flag:
+        objs = [json.loads(line) for line in out.splitlines()]
+        assert [(o["n"], o["classes"], o["total"], o["method"]) for o in objs] == [
+            (0, 1, 1, "enumerate"), (0, 1, 1, "burnside")]
+    else:
+        assert out == ("A  Sym(0)  classes: 1  total: 1  method: enumerate\n"
+                       "A  Sym(0)  classes: 1  total: 1  method: burnside\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("method", ["enumerate", "burnside", "both"])
+def test_homcount_negative_degree_is_the_library_error(capsys, json_flag, method):
+    with pytest.raises(ValueError) as refused:
+        count_classes_burnside(presentation(diagrams.builtin("A")), -1)
+    code, out, err = run(capsys, *json_flag, "homcount", "--expr", "A",
+                         "--sym", "-1", "--method", method)
+    assert (code, out) == (1, "")
+    assert err == f"error: {refused.value}\n"
+
+
 @pytest.mark.parametrize("method", ["enumerate", "both"])
 def test_homcount_enumerate_refuses_above_max_degree(capsys, method):
     # Enumeration has no lower cap of its own: it refuses the degree that

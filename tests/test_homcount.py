@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import json
 import random
 import time
 import weakref
@@ -11,7 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borrays.diagrams import BUILTIN_NAMES, bar, builtin, concat, forget, star
+from borrays.diagrams import (
+    BUILTIN_NAMES,
+    bar,
+    builtin,
+    concat,
+    forget,
+    from_json,
+    star,
+    to_json,
+)
 from borrays.errors import BudgetExceededError, IntegrityError
 from borrays.homcount import (
     DEFAULT_BUDGET,
@@ -74,6 +84,26 @@ def test_a_class_counts():
 def test_a_total_into_sym5():
     p = presentation(builtin("A"))
     assert count_total(p, 5) == 18240
+
+
+def _hall_row(diagram, top):
+    p = presentation(diagram)
+    return helpers.subgroup_counts([count_total(p, n) for n in range(1, top + 1)])
+
+
+def test_halls_formula_holds_on_every_row(deep):
+    # The totals into Sym(1..n) give the numbers of subgroups of index
+    # 1..n.  eps3 presents the free group of rank 2, whose counts are
+    # known; every row must give non-negative integers.
+    top = 6 if deep else 5
+    assert _hall_row(builtin("eps3"), top) == [1, 3, 13, 71, 461, 3447][:top]
+    a = builtin("A")
+    assert _hall_row(a, top) == [1, 3, 13, 87, 601, 5631][:top]
+    for x in ("A", "Ab", "As", "Abs"):
+        row = _hall_row(concat(a, builtin(x)), 5)
+        assert all(v.denominator == 1 and v >= 0 for v in row), (x, row)
+    # A total off by one into Sym(4) gives an index-4 count of 71 + 1/6.
+    assert helpers.subgroup_counts([1, 4, 36, 577])[3].denominator == 6
 
 
 def test_a_separates_from_eps3_at_sym4():
@@ -665,35 +695,53 @@ def _random_presentation(rng):
     return k, tuple(relators), names
 
 
+def _presented_diagrams(rng):
+    """(diagram, include_outer_vertex) for the builtins, with and without
+    the outer vertex relation, then seeded block words with bar and star."""
+    pairs = [(builtin(name), outer)
+             for name in BUILTIN_NAMES for outer in (False, True)]
+    return pairs + [(_seeded_block_word(rng, length), False)
+                    for length in range(1, 79)]
+
+
 def _plan_corpus():
-    """(num_gens, relators, names) of the builtins, seeded block words
-    with bar and star, seeded random presentations and short chains."""
+    """Two lists of (num_gens, relators, names): the presentations that
+    ``presentation`` builds, with short chains, and 300 seeded random
+    presentations."""
     def compiled(p):
         index = {g: i for i, g in enumerate(p.generators)}
         return (len(p.generators), tuple(tuple((index[g], e) for g, e in rel)
                                          for rel in p.relators), p.generators)
 
     rng = random.Random(24)
-    corpus = [compiled(presentation(builtin(name), outer))
-              for name in BUILTIN_NAMES for outer in (False, True)]
-    corpus += [compiled(presentation(_seeded_block_word(rng, length)))
-               for length in range(1, 79)]
-    corpus += [_random_presentation(rng) for _ in range(300)]
-    corpus += [_chain(n) for n in range(51)]
-    return corpus
+    presented = [compiled(presentation(d, outer))
+                 for d, outer in _presented_diagrams(rng)]
+    drawn = [_random_presentation(rng) for _ in range(300)]
+    return presented + [_chain(n) for n in range(51)], drawn
 
 
-def test_plans_of_a_seeded_corpus_are_pinned():
-    # Every plan's pre-cascade and levels, as (gen, solves, checks, conj).
-    # The digest is that of the planner before ranks were shared per
-    # closure: a planner change that keeps it makes the same plans.
+def _plan_digest(corpus):
+    """SHA-256 of every plan's pre-cascade and levels, as (gen, solves,
+    checks, conj)."""
     steps = []
-    for num_gens, relators, names in _plan_corpus():
+    for num_gens, relators, names in corpus:
         plan = _kernel.compile_plan(num_gens, relators, names)
         steps.append([(level.gen, level.solves, level.checks, level.conj)
                       for level in (plan.pre, *plan.levels)])
-    assert hashlib.sha256(repr(steps).encode()).hexdigest() == (
-        "a3f9cd6e8e856a131036e26a75d275105ffcddfff456f32ad56c28b8b028aeba")
+    return hashlib.sha256(repr(steps).encode()).hexdigest()
+
+
+def test_plans_of_a_seeded_corpus_are_pinned():
+    # Every plan's pre-cascade and levels, in two pins.  The presentations
+    # ``presentation`` builds, and the chains, have no conjugate-form
+    # relator longer than four letters, so their plans are also those of a
+    # planner that reads every length; the random presentations have
+    # longer ones, which join no generators.
+    presented, drawn = _plan_corpus()
+    assert _plan_digest(presented) == (
+        "43859ee7b11a347f96aa68a21c45b0449ad407bb54ccaa8fef3ac999e44ef37c")
+    assert _plan_digest(drawn) == (
+        "6c493d72ee52f808a87f6f68ec829e6aff578b57fc5dee8dd2533d244fe7baf4")
 
 
 def test_chain_plans_in_linear_time():
@@ -715,7 +763,8 @@ def test_level_sources_are_cached_per_shape():
     assert render.cache_info().maxsize == 256
     render.cache_clear()
     levels = 0
-    for num_gens, relators, names in _plan_corpus():
+    presented, drawn = _plan_corpus()
+    for num_gens, relators, names in presented + drawn:
         plan = _kernel.compile_plan(num_gens, relators, names)
         for collect in (True, False):
             live, last = _kernel.live_plan(plan, collect)
@@ -891,23 +940,24 @@ def test_search_stops_at_a_fixed_level_whose_check_fails(collect):
     (((0, 1), (1, -1)), (0, 1)),                              # a b^-1
     (((2, -1), (0, 1), (2, 1), (1, -1)), (0, 1)),             # Wirtinger
     (((1, 1), (2, 1), (0, -1), (2, -1)), (1, 0)),             # b u a^-1 u^-1
-    (((3, 1), (1, -1), (3, -1), (2, -1), (0, 1), (2, 1)), (1, 0)),  # u = c d
+    (((3, 1), (1, -1), (3, -1), (2, -1), (0, 1), (2, 1)), None),  # u = c d
     (((0, 1), (2, 1), (1, 1), (2, -1)), None),                # a u b u^-1
     (((0, 1), (2, 1), (1, -1), (2, 1)), None),
     (((0, 1), (1, 1), (2, 1)), None),                         # odd length
     ((), None),
 ])
 def test_conjugate_pairs_are_read_off_relators(rel, pair):
-    # a^e u b^-e u^-1, read cyclically, makes a and b conjugate.
+    # a^e u b^-e u^-1, read cyclically, makes a and b conjugate; only the
+    # shapes a crossing relator takes are read, u of one letter or none.
     assert _kernel._conjugate_pair(rel) == pair
 
 
 def test_conjugate_pairs_match_a_rotation_oracle():
-    # Every word of up to 6 letters on 2 generators and of 4 letters (the
-    # crossing relators, read by an unrolled check) on 3.
+    # Every word of up to 6 letters on 2 generators and of 4 letters on 3;
+    # a conjugate form of 6 letters reads None.
     def oracle(rel):
         half = len(rel) // 2
-        for i in range(half if len(rel) % 2 == 0 else 0):
+        for i in range(half if len(rel) in (2, 4) else 0):
             r = rel[i:] + rel[:i]
             u = r[1:half]
             if (r[half][1] == -r[0][1]
@@ -920,6 +970,46 @@ def test_conjugate_pairs_match_a_rotation_oracle():
     words += product(letters, repeat=4)
     for rel in words:
         assert _kernel._conjugate_pair(rel) == oracle(rel), rel
+
+
+def _kink_diagrams():
+    """JSON diagrams with a kink: one strand passing over and then under
+    itself, or under and then over, at either sign; and A with such a
+    kink on its second strand."""
+    kinks = []
+    for roles in (("o", "u"), ("u", "o")):
+        for sign in (1, -1):
+            kinks.append({"n_strands": 1, "strands": [[{"c": 1, "role": r}
+                                                       for r in roles]],
+                          "signs": {"1": sign}, "inner_order": [1],
+                          "outer_order": [1]})
+    a = json.loads(to_json(builtin("A")))
+    a["strands"][1][2:2] = [{"c": 7, "role": "u"}, {"c": 7, "role": "o"}]
+    a["signs"]["7"] = -1
+    return [from_json(json.dumps(doc)) for doc in kinks + [a]]
+
+
+def test_every_crossing_relator_is_read_as_a_conjugate_pair():
+    # ``presentation`` writes one relator per crossing, before the vertex
+    # relations, and each makes the arcs before and after its under-passage
+    # conjugate.  A longer shape from ``presentation`` fails here, since
+    # ``_conjugate_pair`` reads it as None.
+    def arc(name):
+        strand = name.rstrip("0123456789")
+        return strand, int(name[len(strand):])
+
+    diagrams = _presented_diagrams(random.Random(24))
+    diagrams += [(d, outer) for d in _kink_diagrams() for outer in (False, True)]
+    lengths = set()
+    for d, outer in diagrams:
+        p = presentation(d, outer)
+        for rel in p.relators[:len(d.signs)]:
+            lengths.add(len(rel))
+            pair = _kernel._conjugate_pair(rel)
+            assert pair is not None, rel
+            (sa, ia), (sb, ib) = map(arc, pair)
+            assert sa == sb and abs(ia - ib) == 1, rel
+    assert lengths == {2, 4}
 
 
 def _conj_free(plan):
