@@ -74,10 +74,6 @@ def _cmd_present(args, out):
 
 
 def _cmd_homcount(args, out):
-    if 6 <= args.sym <= MAX_DEGREE and not args.deep:
-        raise ValueError(
-            f"counting into Sym({args.sym}) can take a long time; pass --deep to proceed"
-        )
     d = _diagram_from_args(args)
     p = presentation(d)
     methods = ("enumerate", "burnside") if args.method == "both" else (args.method,)
@@ -242,11 +238,9 @@ def _build_parser():
     source.add_argument("--expr", help="block word, e.g. 'A Abs'")
     source.add_argument("--file", help="diagram JSON file")
     p.add_argument("--sym", type=int, required=True, metavar="N",
-                   help="symmetric group degree")
+                   help=f"symmetric group degree, 0..{MAX_DEGREE}")
     p.add_argument("--method", choices=("enumerate", "burnside", "both"),
                    default="burnside")
-    p.add_argument("--deep", action="store_true",
-                   help="allow degrees of 6 and above (no runtime bound)")
     p.set_defaults(func=_cmd_homcount)
 
     p = sub.add_parser("groupoid",

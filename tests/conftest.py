@@ -6,7 +6,8 @@ def pytest_addoption(parser):
         "--deep",
         action="store_true",
         default=False,
-        help="also verify the Sym(6) values and A into Sym(7) (no runtime bound)",
+        help="also verify A into Sym(7), the other Sym(7) pins and the Sym(6) "
+             "search-node pins (no runtime bound)",
     )
 
 

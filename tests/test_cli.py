@@ -53,18 +53,42 @@ def test_homcount_unknown_block(capsys):
     assert "valid names are" in err
 
 
-def test_homcount_requires_deep_for_sym6(capsys):
-    code, _, err = run(capsys, "homcount", "--expr", "eps3", "--sym", "6")
-    assert code == 1
-    assert "--deep" in err
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_homcount_counts_into_sym6_without_a_flag(capsys, json_flag):
+    # The library's degree rule is the only one: Sym(6) counts like Sym(4).
+    code, out, err = run(capsys, *json_flag, "homcount", "--expr", "A",
+                         "--sym", "6", "--method", "both")
+    assert (code, err) == (0, "")
+    if json_flag:
+        objs = [json.loads(line) for line in out.splitlines()]
+        assert [(o["n"], o["classes"], o["total"], o["method"]) for o in objs] == [
+            (6, 1317, 806_400, "enumerate"), (6, 1317, 806_400, "burnside")]
+    else:
+        assert out == ("A  Sym(6)  classes: 1317  total: 806400  method: enumerate\n"
+                       "A  Sym(6)  classes: 1317  total: 806400  method: burnside\n")
 
 
-@pytest.mark.parametrize("deep", [(), ("--deep",)])
-def test_homcount_degree_above_max_is_a_user_error(capsys, deep):
+def test_homcount_budget_bounds_sym7(capsys):
+    # --budget bounds the search; the Sym(7) table is built before it.
+    code, out, err = run(capsys, "--budget", "0", "homcount", "--expr", "A",
+                         "--sym", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: search exceeded the node budget of 0\n"
+
+
+def test_homcount_deep_is_an_unknown_flag(capsys):
+    code, out, err = run(capsys, "homcount", "--expr", "A", "--sym", "4",
+                         "--deep")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --deep" in err
+
+
+def test_homcount_degree_above_max_is_a_user_error(capsys):
     for method in ("enumerate", "burnside", "both"):
         for sym in (MAX_DEGREE + 1, 10):
             code, out, err = run(capsys, "homcount", "--expr", "A",
-                                 "--sym", str(sym), "--method", method, *deep)
+                                 "--sym", str(sym), "--method", method)
             assert code == 1
             assert out == ""
             assert len(err.splitlines()) == 1
@@ -103,8 +127,7 @@ def test_homcount_enumerate_refuses_above_max_degree(capsys, method):
     # Enumeration has no lower cap of its own: it refuses the degree that
     # Burnside refuses, before the table of Sym(MAX_DEGREE + 1) is built.
     code, out, err = run(capsys, "homcount", "--expr", "eps3",
-                         "--sym", str(MAX_DEGREE + 1), "--deep",
-                         "--method", method)
+                         "--sym", str(MAX_DEGREE + 1), "--method", method)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
@@ -649,8 +672,8 @@ def cli_calls(draw, command=None):
         args += ["--sym", _usually(draw, ["1", "2", "3", "4"], ["0", "-1", "x", "2.5"])]
         if draw(st.booleans()):
             args += ["--method", _usually(draw, ["enumerate", "burnside", "both"], ["all"])]
-        if draw(st.booleans()):
-            args.append("--deep")
+        if _rarely(draw):
+            args.append("--deep")  # no such flag: a usage error
     elif command == "groupoid":
         if draw(st.booleans()):
             args += ["--emit", _usually(draw, ["table2", "list"], ["table3"])]

@@ -18,6 +18,7 @@ from borrays.groupoid import (
     type_inverse,
 )
 from borrays.labels import A, AB, ABS, AS, ALL_LABELS
+from borrays.sequences import equivalence, parse_sequence, transform
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +166,36 @@ def test_type_validation():
         with pytest.raises(ValueError, match="BlockLabel"):
             DiffeoType(domain, codomain, 1, 1, (1, 2, 3))
     assert len(ALL_PERMS) == 6 and A3 | C3 == set(ALL_PERMS)
+
+
+RELABELINGS = ("identity", "bar", "star", "barstar")
+
+
+def test_classifier_conditions_are_the_relabelings_of_table2(realized):
+    # A blockwise relabeling f is realized with orientation character e
+    # if some perm p and boundary character beta give realized types
+    # (b, f(b), e, beta, p) for all four blocks b.
+    def relabelings(e, beta):
+        return {f for f in RELABELINGS if any(
+            all(DiffeoType(b, b if f == "identity" else getattr(b, f)(),
+                           e, beta, p) in realized for b in ALL_LABELS)
+            for p in ALL_PERMS)}
+
+    # The four relabelings of t have pairwise different tails, so
+    # equivalence(f(t), t) meets exactly one condition, the one testing f.
+    t = parse_sequence("pre: Abs ; per: A A Ab As")
+    cond_of, preserving, reversing = {}, set(), set()
+    for f in RELABELINGS:
+        rep = equivalence(t if f == "identity" else transform(t, f), t)
+        holds = [rep.cond1.holds, rep.cond2.holds, rep.cond3.holds, rep.cond4.holds]
+        assert holds.count(True) == 1, f
+        cond_of[f] = holds.index(True) + 1
+        if rep.op_equivalent:
+            preserving.add(f)
+        if rep.or_equivalent:
+            reversing.add(f)
+    assert cond_of == {"identity": 1, "barstar": 2, "bar": 3, "star": 4}
+    assert (preserving, reversing) == ({"identity", "barstar"}, {"bar", "star"})
+    for beta in (1, -1):
+        assert relabelings(1, beta) == preserving
+        assert relabelings(-1, beta) == reversing

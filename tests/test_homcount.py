@@ -94,14 +94,17 @@ def _hall_row(diagram, top):
 def test_halls_formula_holds_on_every_row(deep):
     # The totals into Sym(1..n) give the numbers of subgroups of index
     # 1..n.  eps3 presents the free group of rank 2, whose counts are
-    # known; every row must give non-negative integers.
-    top = 6 if deep else 5
-    assert _hall_row(builtin("eps3"), top) == [1, 3, 13, 71, 461, 3447][:top]
+    # known; the other rows are pins, and a wrong total would show as a
+    # fraction or a negative count.
+    free = [1, 3, 13, 71, 461, 3447, 29093]
+    top = 7 if deep else 6
+    assert _hall_row(builtin("eps3"), top) == free[:top]
     a = builtin("A")
-    assert _hall_row(a, top) == [1, 3, 13, 87, 601, 5631][:top]
-    for x in ("A", "Ab", "As", "Abs"):
-        row = _hall_row(concat(a, builtin(x)), 5)
-        assert all(v.denominator == 1 and v >= 0 for v in row), (x, row)
+    assert _hall_row(a, 6) == [1, 3, 13, 87, 601, 5631]
+    # (a_5, a_6) of the four A·X rows; A A and A Ab differ only at index 6.
+    for x, tail in (("A", [1266, 15021]), ("Ab", [1266, 15885]),
+                    ("As", [1326, 17433]), ("Abs", [1206, 15057])):
+        assert _hall_row(concat(a, builtin(x)), 6) == [1, 3, 13, 151, *tail], x
     # A total off by one into Sym(4) gives an index-4 count of 71 + 1/6.
     assert helpers.subgroup_counts([1, 4, 36, 577])[3].denominator == 6
 
@@ -1097,9 +1100,13 @@ def test_a_into_sym7_is_pinned(deep):
     # kernel computed these in about 6 minutes.
     if not deep:
         pytest.skip("A into Sym(7) runs only under --deep")
-    r = count_classes_burnside(presentation(builtin("A")), 7)
+    p = presentation(builtin("A"))
+    r = count_classes_burnside(p, 7)
     assert (r.class_count, r.total_homs, r.nodes) == (7287, 33_586_560,
                                                       28_342_205)
+    # Hall's formula on the same total: A has 37353 subgroups of index 7.
+    totals = [count_total(p, n) for n in range(1, 7)] + [r.total_homs]
+    assert helpers.subgroup_counts(totals)[6] == 37353
 
 
 # ---------------------------------------------------------------------------
