@@ -26,6 +26,7 @@ from .groupoid import (
 )
 from .homcount import (
     HomClassCount,
+    count_classes_both,
     count_classes_burnside,
     count_classes_enumerate,
     count_total,
@@ -58,8 +59,8 @@ __all__ = [
     "BudgetExceededError", "IntegrityError",
     "DiffeoType", "excluded_closure", "realized_closure", "type_compose",
     "type_inverse",
-    "HomClassCount", "count_classes_burnside", "count_classes_enumerate",
-    "count_total", "kernel_name",
+    "HomClassCount", "count_classes_both", "count_classes_burnside",
+    "count_classes_enumerate", "count_total", "kernel_name",
     "ALL_LABELS", "BlockLabel", "parse_label",
     "FinitePresentation", "abelianization", "format_presentation",
     "presentation", "tietze_simplify",

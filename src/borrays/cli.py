@@ -7,10 +7,13 @@ deterministic text (optionally one JSON object per result line with
 
 The argument parser is built once per process and reused by every
 ``main`` call, so each subcommand's handler is bound when the parser is
-first built.  The handlers look up the library functions they call
-(``groupoid.realized_closure``, ``count_classes_burnside``, ...) at call
-time: to replace behaviour in a test or a tracer, patch those module
-functions, not the ``_cmd_*`` handlers.
+first built.  The handlers look up the library functions they call at
+call time, so a test or a tracer replaces behaviour by patching module
+attributes, not the ``_cmd_*`` handlers: ``count_classes_enumerate``,
+``count_classes_burnside`` or ``count_classes_both`` (one per
+``--method``), ``homcount._enumerate`` and ``homcount._burnside`` (the two
+methods inside ``count_classes_both``), ``presentation``,
+``groupoid.realized_closure`` and the like.
 """
 
 import argparse
@@ -23,9 +26,9 @@ from .errors import BudgetExceededError, IntegrityError
 from .homcount import (
     DEFAULT_BUDGET,
     MAX_DEGREE,
+    count_classes_both,
     count_classes_burnside,
     count_classes_enumerate,
-    symmetric_group,
 )
 from .presentations import (
     abelianization,
@@ -39,11 +42,9 @@ __all__ = ["main"]
 
 def _diagram_from_args(args):
     """Build the diagram from --expr (builtin word) or --file (JSON)."""
-    if args.file:
+    if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as fh:
             return diagrams.from_json(fh.read())
-    if not args.expr:
-        raise ValueError("one of --expr or --file is required")
     blocks = [diagrams.builtin(tok) for tok in args.expr.split()]
     if not blocks:
         raise ValueError("empty block expression")
@@ -76,32 +77,12 @@ def _cmd_present(args, out):
 def _cmd_homcount(args, out):
     d = _diagram_from_args(args)
     p = presentation(d)
-    methods = ("enumerate", "burnside") if args.method == "both" else (args.method,)
-    # Both methods search one table of Sym(n), freed when the command ends.
-    sym = symmetric_group(args.sym)
-    results = []
-    spent = 0  # --budget caps the nodes of both methods together
-    for method in methods:
-        counter = (count_classes_enumerate if method == "enumerate"
-                   else count_classes_burnside)
-        try:
-            r = counter(p, args.sym, budget=args.budget - spent, sym=sym)
-        except BudgetExceededError:
-            raise BudgetExceededError(args.budget) from None
-        spent += r.nodes
-        results.append(r)
-    if len(results) == 2:
-        e, b = results
-        differ = " and ".join(
-            name for name, x, y in (("classes", e.class_count, b.class_count),
-                                    ("total", e.total_homs, b.total_homs))
-            if x != y)
-        if differ:
-            raise IntegrityError(
-                f"methods disagree on {differ}: enumerate classes "
-                f"{e.class_count} total {e.total_homs} vs burnside classes "
-                f"{b.class_count} total {b.total_homs}"
-            )
+    if args.method == "both":
+        results = count_classes_both(p, args.sym, args.budget)
+    elif args.method == "enumerate":
+        results = [count_classes_enumerate(p, args.sym, args.budget)]
+    else:
+        results = [count_classes_burnside(p, args.sym, args.budget)]
     for r in results:
         if args.json:
             out.write(json.dumps(
@@ -220,7 +201,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("present", help="print a tangle-complement presentation")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--expr", help="block word, e.g. 'A Abs' (leftmost innermost)")
     source.add_argument("--file", help="diagram JSON file")
     p.add_argument("--simplify", action="store_true",
@@ -234,7 +215,7 @@ def _build_parser():
 
     p = sub.add_parser("homcount",
                        help="count homomorphism classes into Sym(n)")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--expr", help="block word, e.g. 'A Abs'")
     source.add_argument("--file", help="diagram JSON file")
     p.add_argument("--sym", type=int, required=True, metavar="N",

@@ -34,13 +34,13 @@ phi(w)^-1`` with ``phi(w)`` in that group.  Every Wirtinger crossing
 relator makes two arcs of one strand conjugate.
 
 ``budget`` caps the search nodes of a whole count, summed over its kernel
-calls.  A node is one candidate tried, an element of the group or of a
-known conjugate's class; a searched level spends all of its candidates
-when it is entered, so the node totals are those of trying candidates one
-by one.  The search runs in the pure-Python kernel
+calls (both routes' in :func:`count_classes_both`, which must agree).  A
+node is one candidate tried, an element of the group or of a known
+conjugate's class; a searched level spends all of its candidates when it
+is entered, so the node totals are those of trying candidates one by one.  The search runs in the pure-Python kernel
 :mod:`borrays._homsearch_py`, on group elements as indices into sorted
-Sym(n) with a Cayley table, built once per count for Sym(n) (or once per
-command, passed in as ``sym``); a centralizer is the list of its elements
+Sym(n) with a Cayley table, built once per count (once for both methods
+of :func:`count_classes_both`); a centralizer is the list of its elements
 over that table.  Each count
 compiles its presentation once into a search plan (:func:`_compiled`):
 the relators solved or checked at each branching generator, in a
@@ -66,7 +66,7 @@ __all__ = [
     "count_total",
     "count_classes_enumerate",
     "count_classes_burnside",
-    "symmetric_group",
+    "count_classes_both",
 ]
 
 DEFAULT_BUDGET = 10**10
@@ -210,32 +210,21 @@ def _count_into(plan, group, budget: _Budget, classes=None) -> int:
     return budget.search(plan, group, terms, orbit_of)[0]
 
 
-def symmetric_group(n: int):
-    """Sym(n) with its Cayley table, for counts of degree ``n`` to share.
-
-    Refuses the degrees a count refuses, before building anything.  Pass
-    the result as ``sym`` to the counts of one command; the table lives
-    as long as the caller holds it.
-    """
+def _prepared(p: FinitePresentation, n: int, budget: int):
+    """(plan, Sym(n), Sym(n)'s ``_conjugation_orbits``, budget) of a count;
+    the degree is checked before anything is built."""
     _check_degree(n)
-    return _kernel.symmetric_group(n)
-
-
-def _table(n, sym):
-    """``sym``, checked to be the table of Sym(n), or a new one if None."""
-    if sym is None:
-        return _kernel.symmetric_group(n)
-    if len(sym.perms) != factorial(n) or len(sym.elements) != len(sym.perms):
-        raise ValueError(f"sym is not the table of Sym({n})")
-    return sym
+    plan = _compiled(p)
+    budget = _Budget(budget)
+    sym = _kernel.symmetric_group(n)
+    return plan, sym, _conjugation_orbits(sym.elements, sym), budget
 
 
 def count_total(p: FinitePresentation, n: int,
                 budget: int = DEFAULT_BUDGET) -> int:
     """Total homomorphisms into Sym(n)."""
-    _check_degree(n)
-    return _count_into(_compiled(p), _kernel.symmetric_group(n),
-                       _Budget(budget))
+    plan, sym, classes, budget = _prepared(p, n, budget)
+    return _count_into(plan, sym, budget, classes)
 
 
 def _orbit_count(homs, stabilizer, group):
@@ -264,23 +253,11 @@ def _orbit_count(homs, stabilizer, group):
     return orbits
 
 
-def count_classes_enumerate(p: FinitePresentation, n: int,
-                            budget: int = DEFAULT_BUDGET, *,
-                            sym=None) -> HomClassCount:
-    """Class count by explicit orbits of the orbit split's stabilizers.
-
-    Every orbit of Sym(n) on the homomorphisms meets exactly one term
-    (y1, y2) of the split, and there it is one orbit of the term's
-    stabilizer S = C(y1) ∩ C(y2) on the homomorphisms extending (y1, y2).
-    So the extensions of the terms with a non-trivial S are collected, by
-    one kernel call, and their S-orbits counted term by term.  ``sym`` is
-    as in :func:`symmetric_group`.
-    """
-    _check_degree(n)
-    plan = _compiled(p)
-    budget = _Budget(budget)
-    sym = _table(n, sym)
-    orbits, orbit_of = _conjugation_orbits(sym.elements, sym)
+def _enumerate(plan, sym, classes, budget: _Budget) -> HomClassCount:
+    """Enumeration's class count; ``nodes`` is its own share of ``budget``."""
+    start = budget.spent
+    n = len(sym.perms[0])
+    orbits, orbit_of = classes
     split = _split(plan, sym, orbits)
     # Under a trivial S each extension is its own orbit, and the term's
     # weight is n!/|S| = n!: one kernel call only counts these extensions.
@@ -289,16 +266,42 @@ def count_classes_enumerate(p: FinitePresentation, n: int,
     held = [term for term in split if len(term[2]) > 1]
     _, homs = budget.search(plan, sym, [(fixed, 1) for fixed, _, _ in held],
                             orbit_of, collect=True)
-    total, classes = factorial(n) * free, free
+    total, count = factorial(n) * free, free
     for (_, weight, stabilizer), found in zip(held, homs):
         total += weight * len(found)
-        classes += _orbit_count(found, stabilizer, sym)
-    return HomClassCount(n, total, classes, "enumerate", budget.spent)
+        count += _orbit_count(found, stabilizer, sym)
+    return HomClassCount(n, total, count, "enumerate", budget.spent - start)
+
+
+def _burnside(plan, sym, classes, budget: _Budget) -> HomClassCount:
+    """Burnside's class count; ``nodes`` is its own share of ``budget``."""
+    start = budget.spent
+    n = len(sym.perms[0])
+    total = _count_into(plan, sym, budget, classes)
+    acc = total + sum(
+        size * _count_into(plan, sym.subgroup(centralizer), budget)
+        for _, size, centralizer in classes[0][1:])
+    if acc % factorial(n):
+        raise IntegrityError("Burnside sum is not divisible by n!")
+    return HomClassCount(n, total, acc // factorial(n), "burnside",
+                         budget.spent - start)
+
+
+def count_classes_enumerate(p: FinitePresentation, n: int,
+                            budget: int = DEFAULT_BUDGET) -> HomClassCount:
+    """Class count by explicit orbits of the orbit split's stabilizers.
+
+    Every orbit of Sym(n) on the homomorphisms meets exactly one term
+    (y1, y2) of the split, and there it is one orbit of the term's
+    stabilizer S = C(y1) ∩ C(y2) on the homomorphisms extending (y1, y2).
+    So the extensions of the terms with a non-trivial S are collected, by
+    one kernel call, and their S-orbits counted term by term.
+    """
+    return _enumerate(*_prepared(p, n, budget))
 
 
 def count_classes_burnside(p: FinitePresentation, n: int,
-                           budget: int = DEFAULT_BUDGET, *,
-                           sym=None) -> HomClassCount:
+                           budget: int = DEFAULT_BUDGET) -> HomClassCount:
     """Class count by Burnside average over conjugacy-class representatives.
 
     A homomorphism is fixed by conjugation with pi iff every generator
@@ -307,18 +310,30 @@ def count_classes_burnside(p: FinitePresentation, n: int,
     Sym(n) conjugating itself: each class's first element, its size and
     its centralizer.  The identity's class comes first, and its
     centralizer is Sym(n), so its term is the total; its split reuses
-    these classes.  ``sym`` is as in :func:`symmetric_group`.
+    these classes.
     """
-    _check_degree(n)
-    plan = _compiled(p)
-    budget = _Budget(budget)
-    sym = _table(n, sym)
-    classes = _conjugation_orbits(sym.elements, sym)
-    total = _count_into(plan, sym, budget, classes)
-    acc = total + sum(
-        size * _count_into(plan, sym.subgroup(centralizer), budget)
-        for _, size, centralizer in classes[0][1:])
-    if acc % factorial(n):
-        raise IntegrityError("Burnside sum is not divisible by n!")
-    return HomClassCount(n, total, acc // factorial(n), "burnside",
-                         budget.spent)
+    return _burnside(*_prepared(p, n, budget))
+
+
+def count_classes_both(p: FinitePresentation, n: int,
+                       budget: int = DEFAULT_BUDGET
+                       ) -> tuple[HomClassCount, HomClassCount]:
+    """(enumeration, Burnside) class counts, which must agree.
+
+    Both search one plan and one table of Sym(n), and ``budget`` caps their
+    nodes together: enumeration runs first, then Burnside on what is left.
+    Each ``nodes`` is that method's share.  Counts that differ in classes
+    or total raise IntegrityError."""
+    prepared = _prepared(p, n, budget)
+    e, b = _enumerate(*prepared), _burnside(*prepared)
+    differ = " and ".join(
+        name for name, x, y in (("classes", e.class_count, b.class_count),
+                                ("total", e.total_homs, b.total_homs))
+        if x != y)
+    if differ:
+        raise IntegrityError(
+            f"methods disagree on {differ}: enumerate classes "
+            f"{e.class_count} total {e.total_homs} vs burnside classes "
+            f"{b.class_count} total {b.total_homs}"
+        )
+    return e, b

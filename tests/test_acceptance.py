@@ -24,9 +24,9 @@ from borrays.groupoid import (
     realized_closure,
 )
 from borrays.homcount import (
+    count_classes_both,
     count_classes_burnside,
     count_classes_enumerate,
-    symmetric_group,
 )
 from borrays.labels import A, AB, ALL_LABELS, AS
 from borrays.presentations import FinitePresentation, presentation
@@ -80,12 +80,10 @@ def classes(diagram, n, method=count_classes_burnside):
     return method(presentation(diagram), n).class_count
 
 
-def classes_by_both_methods(diagram, n, sym):
+def classes_by_both_methods(diagram, n):
     """The class count into Sym(n), which enumeration and Burnside must
-    agree on; both search ``sym``, one table of Sym(n)."""
-    p = presentation(diagram)
-    e = count_classes_enumerate(p, n, sym=sym)
-    b = count_classes_burnside(p, n, sym=sym)
+    agree on; both search one table of Sym(n)."""
+    e, b = count_classes_both(presentation(diagram), n)
     assert (e.class_count, e.total_homs) == (b.class_count, b.total_homs)
     return e.class_count
 
@@ -102,9 +100,8 @@ def test_criterion_1_single_block_table():
     for n, want in enumerate([1, 4, 11, 47, 193], start=1):
         assert classes(a, n) == want
     assert time.monotonic() - t0 < 60
-    sym6 = symmetric_group(6)
-    assert classes_by_both_methods(eps3, 6, sym6) == 901
-    assert classes_by_both_methods(a, 6, sym6) == 1317
+    assert classes_by_both_methods(eps3, 6) == 901
+    assert classes_by_both_methods(a, 6) == 1317
 
 
 @criterion(2, "two-block product counts into Sym(4..5), "
@@ -118,9 +115,8 @@ def test_criterion_2_product_table():
     for d, want in zip(products, (342, 342, 354, 330)):
         assert classes(d, 5) == want
     assert time.monotonic() - t0 < 900
-    sym6 = symmetric_group(6)
     for d, want in zip(products, (3111, 3255, 3525, 3105)):
-        assert classes_by_both_methods(d, 6, sym6) == want
+        assert classes_by_both_methods(d, 6) == want
 
 
 @criterion(3, "Sym(4) counts separate the A block from the trivial block")

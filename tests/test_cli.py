@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borrays import cli, diagrams, groupoid
+from borrays import cli, diagrams, groupoid, homcount
 from borrays.homcount import (
     MAX_DEGREE,
     count_classes_burnside,
@@ -430,9 +430,17 @@ def test_a_1000_block_word_answers_or_exhausts_the_budget_quickly(capsys):
 
 
 def test_present_requires_input(capsys):
-    code, _, err = run(capsys, "present")
-    assert code == 1
-    assert "--expr" in err
+    for command in (["present"], ["homcount", "--sym", "2"]):
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: ")
+        assert "one of the arguments --expr --file is required" in err
+        # A source that is given but empty is named for what it is.
+        code, out, err = run(capsys, *command, "--expr", "")
+        assert (code, out, err) == (1, "", "error: empty block expression\n")
+        code, out, err = run(capsys, *command, "--file", "")
+        assert (code, out) == (1, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_groupoid_table(capsys):
@@ -476,13 +484,13 @@ def test_homcount_methods_disagree_exit_code(capsys, monkeypatch, field,
                                              shift, want):
     # A into Sym(4) has 47 classes and 672 homomorphisms by both methods;
     # a skewed Burnside result must be named by the quantity that differs.
-    burnside = cli.count_classes_burnside
+    burnside = homcount._burnside
 
-    def skewed(*args, **kwargs):
-        r = burnside(*args, **kwargs)
+    def skewed(*args):
+        r = burnside(*args)
         return dataclasses.replace(r, **{field: getattr(r, field) + shift})
 
-    monkeypatch.setattr(cli, "count_classes_burnside", skewed)
+    monkeypatch.setattr(homcount, "_burnside", skewed)
     code, out, err = run(capsys, "homcount", "--expr", "A", "--sym", "4",
                          "--method", "both")
     assert (code, out) == (3, "")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from borrays import homcount
 from borrays.diagrams import (
     BUILTIN_NAMES,
     bar,
@@ -27,11 +28,11 @@ from borrays.homcount import (
     DEFAULT_BUDGET,
     MAX_DEGREE,
     HomClassCount,
+    count_classes_both,
     count_classes_burnside,
     count_classes_enumerate,
     count_total,
     kernel_name,
-    symmetric_group,
 )
 from borrays.homcount import (
     _Budget,
@@ -365,18 +366,43 @@ def test_enumeration_reaches_max_degree(deep):
         count_classes_enumerate(p, MAX_DEGREE + 1)
 
 
-def test_counts_share_a_table_of_sym_n_only():
+def test_both_methods_share_one_plan_and_table(monkeypatch):
     p = presentation(builtin("A"))
-    sym = symmetric_group(4)
-    centralizer = sym.subgroup(_conjugation_orbits(sym.elements, sym)[0][-1][2])
-    for method in (count_classes_enumerate, count_classes_burnside):
-        assert method(p, 4, sym=sym) == method(p, 4)
-        for n, table in ((3, sym), (4, centralizer)):
-            with pytest.raises(ValueError, match=r"not the table of Sym\("):
-                method(p, n, sym=table)
+    single = (count_classes_enumerate(p, 4), count_classes_burnside(p, 4))
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(_kernel, "symmetric_group",
+                        spy("table", _kernel.symmetric_group))
+    monkeypatch.setattr(homcount, "_compiled", spy("plan", _compiled))
+    # Each result is its method's alone, nodes included.
+    assert count_classes_both(p, 4) == single
+    assert sorted(calls) == ["plan", "table"]
+    calls.clear()
     for n in (MAX_DEGREE + 1, -1):
         with pytest.raises(ValueError, match="degree"):
-            symmetric_group(n)
+            count_classes_both(p, n)
+    assert calls == []
+
+
+def test_both_methods_must_agree(monkeypatch):
+    burnside = homcount._burnside
+
+    def skewed(*args):
+        r = burnside(*args)
+        return HomClassCount(r.n, r.total_homs, r.class_count + 1, r.method,
+                             r.nodes)
+
+    monkeypatch.setattr(homcount, "_burnside", skewed)
+    with pytest.raises(IntegrityError, match=(
+            "^methods disagree on classes: enumerate classes 47 total 672 "
+            "vs burnside classes 48 total 672$")):
+        count_classes_both(presentation(builtin("A")), 4)
 
 
 def test_kernel_name_reports_a_kernel():
@@ -830,7 +856,8 @@ def test_long_relators_compile():
 
 
 @pytest.mark.parametrize("count", [
-    count_total, count_classes_enumerate, count_classes_burnside])
+    count_total, count_classes_enumerate, count_classes_burnside,
+    count_classes_both])
 def test_no_plan_outlives_its_count(monkeypatch, count):
     seen = []
     search = _kernel.search_homs
@@ -1101,11 +1128,13 @@ def test_a_into_sym7_is_pinned(deep):
     if not deep:
         pytest.skip("A into Sym(7) runs only under --deep")
     p = presentation(builtin("A"))
-    r = count_classes_burnside(p, 7)
-    assert (r.class_count, r.total_homs, r.nodes) == (7287, 33_586_560,
+    e, b = count_classes_both(p, 7)  # one table of Sym(7) for both
+    assert (e.class_count, e.total_homs, e.nodes) == (7287, 33_586_560,
+                                                      28_118_160)
+    assert (b.class_count, b.total_homs, b.nodes) == (7287, 33_586_560,
                                                       28_342_205)
     # Hall's formula on the same total: A has 37353 subgroups of index 7.
-    totals = [count_total(p, n) for n in range(1, 7)] + [r.total_homs]
+    totals = [count_total(p, n) for n in range(1, 7)] + [b.total_homs]
     assert helpers.subgroup_counts(totals)[6] == 37353
 
 
