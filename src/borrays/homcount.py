@@ -44,7 +44,12 @@ of :func:`count_classes_both`); a centralizer is the list of its elements
 over that table.  Each count
 compiles its presentation once into a search plan (:func:`_compiled`):
 the relators solved or checked at each branching generator, in a
-branching order the plan chooses itself.  The kernel runs each level of
+branching order the plan chooses itself: the generator whose assignment
+closes the most relators, then, among those, one conjugate to a known
+generator, whose level searches one class, then the one that solves the
+most generators.  Relators closed come first since each prunes the whole
+tree below its level, where a restricted level narrows only its own
+candidates.  The kernel runs each level of
 the plan as generated Python code, and skips the solves whose values
 nothing reads.  The orbit split's two fixed images are values for the
 plan's first two levels.  Degrees above ``MAX_DEGREE`` are refused,

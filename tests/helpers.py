@@ -331,6 +331,19 @@ def unreduced_class_count(p, n, budget=DEFAULT_BUDGET):
                          "enumerate", budget.spent)
 
 
+def conjugate_pair_oracle(rel):
+    """(a, b) if a cyclic rotation of ``rel`` reads ``a^e u b^-e u^-1``
+    with ``u`` one letter, or ``a^e b^-e``, else None."""
+    half = len(rel) // 2
+    for i in range(half if len(rel) in (2, 4) else 0):
+        r = rel[i:] + rel[:i]
+        u = r[1:half]
+        if (r[half][1] == -r[0][1]
+                and r[half + 1:] == tuple((g, -e) for g, e in reversed(u))):
+            return r[0][0], r[half][0]
+    return None
+
+
 def greedy_order_oracle(generators, relators):
     """The branching order of a search plan, recomputed over plain sets.
 
@@ -339,9 +352,19 @@ def greedy_order_oracle(generators, relators):
     with exactly one unknown letter occurrence makes that letter's
     generator known.  Starting from the closure of the empty set, each
     step closes known | {g} for every unknown g, ranks g by (-relators
-    newly fully known, -generators newly known, -letter occurrences of g,
-    g), and branches on the least.
+    newly fully known, whether no generator conjugate to g is known,
+    -generators newly known, -letter occurrences of g, g), and branches
+    on the least.
+
+    Two generators are conjugate when a chain of relators joins them, each
+    read as a pair by :func:`conjugate_pair_oracle`.
     """
+    conjugates = {g: {g} for g in generators}
+    for pair in filter(None, map(conjugate_pair_oracle, relators)):
+        joined = conjugates[pair[0]] | conjugates[pair[1]]
+        for g in joined:
+            conjugates[g] = joined
+
     def close(known):
         known = set(known)
         changed = True
@@ -365,6 +388,7 @@ def greedy_order_oracle(generators, relators):
         def rank(g):
             after = close(known | {g})
             return (fully_known(known) - fully_known(after),
+                    not conjugates[g] & known,
                     len(known) - len(after), -occurrences[g], g)
         g = min((g for g in generators if g not in known), key=rank)
         order.append(g)

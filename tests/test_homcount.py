@@ -457,11 +457,11 @@ def test_kernel_budget_boundary(collect):
 
 
 @pytest.mark.parametrize("method, p, n, nodes", [
-    (count_classes_burnside, presentation(builtin("A")), 5, 20_693),
+    (count_classes_burnside, presentation(builtin("A")), 5, 3_500),
     (helpers.unreduced_class_count,
      presentation(concat(builtin("A"), builtin("A"))), 4, 30_552),
     (count_classes_enumerate,
-     presentation(concat(builtin("A"), builtin("A"))), 4, 1_357),
+     presentation(concat(builtin("A"), builtin("A"))), 4, 554),
 ])
 def test_budget_boundary_of_a_count(method, p, n, nodes):
     assert method(p, n, budget=nodes).nodes == nodes
@@ -622,12 +622,16 @@ def test_small_tables_are_tuples_and_subgroups_share_them():
 
 
 def test_plan_shape_of_a_and_eps3():
-    # A's group is a one-relator group on x2, y2, z2: the other six
-    # generators are solved and x1 y1 z1 is the lone check.
+    # A's group is a one-relator group on x2, y2, y1: the other six
+    # generators are solved and y1's conjugation by z2 into y2 is the lone
+    # check.  y1 closes as many relators as z2 would, and y2 is known, so
+    # y1's level searches only y2's class.
     p = presentation(builtin("A"))
     plan = _compiled(p)
     assert [p.generators[level.gen] for level in plan.levels] == [
-        "x2", "y2", "z2"]
+        "x2", "y2", "y1"]
+    assert [level.conj for level in plan.levels] == [
+        None, None, 2 * p.generators.index("y2")]
     assert (plan.pre.solves, plan.pre.checks) == ((), ())
     assert [len(level.solves) for level in plan.levels] == [0, 2, 4]
     assert [len(level.checks) for level in plan.levels] == [0, 0, 1]
@@ -677,13 +681,25 @@ def _level_order(p):
 # but occurrences and names.
 @example(FinitePresentation(("a", "b", "c", "d", "e"), tuple(
     ((x, 1), ("a", 1), (y, -1)) for x, y in ("bc", "cd", "de"))))
+# Once a is known, h's component holds a known generator, but no relator
+# that h's cascade read has changed, so h is re-keyed from its cached
+# closure.  h, u and w each close one relator; u solves more generators
+# and w has more occurrences, but only h is class-restricted.
+@example(FinitePresentation(("a", "h", "m", "u", "v", "w"), (
+    (("a", 1), ("u", 1), ("m", -1), ("u", -1)),
+    (("m", 1), ("v", 1), ("h", -1), ("v", -1)),
+    (("a", 1),) * 5, (("h", 1),) * 2, (("w", 1),) * 4)))
+# Once x2 and y2 are known, y1 and z2 each close five relators and make
+# five generators known.  z2 has more occurrences, but y1 is conjugate to
+# the known y2, so y1 goes first.
+@example(presentation(builtin("A")))
 def test_plan_order_matches_greedy_oracle(p):
     assert _level_order(p) == helpers.greedy_order_oracle(p.generators, p.relators)
 
 
 def test_plan_order_of_a_prefix_is_pinned():
     p = presentation(concat(*map(builtin, ("A", "Ab", "As", "Abs"))))
-    want = ["x2", "y2", "z2", "x5", "x6", "x9"]
+    want = ["x2", "y2", "y1", "x5", "x6", "x9"]
     assert _level_order(p) == want
     assert helpers.greedy_order_oracle(p.generators, p.relators) == want
 
@@ -701,6 +717,14 @@ def _chain(n):
     """Generators a, g0..gN with relators g_i a g_{i+1}^-1: a 2-level plan."""
     names = ("a", *(f"g{i}" for i in range(n + 1)))
     return n + 2, tuple(((i, 1), (0, 1), (i + 1, -1)) for i in range(1, n + 1)), names
+
+
+def _conjugate_chain(n):
+    """Generators g0..gN and u0..u(N-1) with relators g_i u_i g_{i+1}^-1
+    u_i^-1: the g_i form one conjugacy component."""
+    names = (*(f"g{i}" for i in range(n + 1)), *(f"u{i}" for i in range(n)))
+    return len(names), tuple(((i, 1), (n + 1 + i, 1), (i + 1, -1), (n + 1 + i, -1))
+                             for i in range(n)), names
 
 
 def _random_presentation(rng):
@@ -768,9 +792,9 @@ def test_plans_of_a_seeded_corpus_are_pinned():
     # longer ones, which join no generators.
     presented, drawn = _plan_corpus()
     assert _plan_digest(presented) == (
-        "43859ee7b11a347f96aa68a21c45b0449ad407bb54ccaa8fef3ac999e44ef37c")
+        "94af90edcd4e4093b3bea9546fd81a89e36b1c7d4a7b47d1acd1150635b7da3d")
     assert _plan_digest(drawn) == (
-        "6c493d72ee52f808a87f6f68ec829e6aff578b57fc5dee8dd2533d244fe7baf4")
+        "73183af26de373b2c44126a3f1a0073f65667c4b56396b6f5301b21aad559824")
 
 
 def test_chain_plans_in_linear_time():
@@ -783,6 +807,17 @@ def test_chain_plans_in_linear_time():
     # g1 leads the ties: two occurrences, and the least such name.
     assert [names[level.gen] for level in plan.levels] == ["a", "g1"]
     assert len(plan.levels[1].solves) == 3000
+    # g1 goes first and is its component's first known member, so each
+    # g_i whose closure g1 left alone, all but g0 and g2, is re-keyed as
+    # class-restricted from that closure.  Then each u_i closes one
+    # relator, solving g0 or g_{i+1}.
+    num_gens, relators, names = _conjugate_chain(3000)
+    start = time.process_time()
+    plan = _kernel.compile_plan(num_gens, relators, names)
+    assert time.process_time() - start < 1
+    assert [names[level.gen] for level in plan.levels] == [
+        "g1", *(f"u{i}" for i in range(3000))]
+    assert [len(level.solves) for level in plan.levels] == [0] + [1] * 3000
 
 
 def test_level_sources_are_cached_per_shape():
@@ -812,14 +847,14 @@ def test_live_plan_drops_dead_solves_unless_collected():
     def solved(level):
         return [p.generators[reg // 2] for _, reg in level.solves]
 
-    # Only z1 and y1 feed the check x1 y1 z1, while a collected hom needs
-    # every image.
-    for collect, want in ((False, ["z1", "y1"]),
-                          (True, ["z3", "z1", "y1", "x3"])):
+    # Only z1 and z2 feed the check z2^-1 y1 z2 = y2, while a collected
+    # hom needs every image.
+    for collect, want in ((False, ["z1", "z2"]),
+                          (True, ["z1", "z2", "z3", "x3"])):
         last = _kernel.live_plan(plan, collect)[0][-1]
         assert solved(last) == want
         assert last.checks == plan.levels[-1].checks and len(last.checks) == 1
-    # The levels are the pre-cascade (0), x2, y2 and z2 (3).  y2's inverse
+    # The levels are the pre-cascade (0), x2, y2 and y1 (3).  y2's inverse
     # is read last at y2's own level unless the z3 solve stays, and a
     # collected image counts as read after every level.
     y2_inv, x3 = 2 * p.generators.index("y2") + 1, 2 * p.generators.index("x3")
@@ -922,7 +957,7 @@ def test_generated_level_code_is_pinned(monkeypatch):
             _kernel._level_functions(plan, collect)
     assert len(pairs) == 1648
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
-        "6bcc443208490d0d9aac43c6e25e72a0fc468bccee60cad5e74bc72c3f669389")
+        "0534834ed3b96f03e8927a8f6fe423fd477425318b238adabb4b94358a172f4f")
 
 
 def _sym3_search(collect):
@@ -985,21 +1020,12 @@ def test_conjugate_pairs_are_read_off_relators(rel, pair):
 def test_conjugate_pairs_match_a_rotation_oracle():
     # Every word of up to 6 letters on 2 generators and of 4 letters on 3;
     # a conjugate form of 6 letters reads None.
-    def oracle(rel):
-        half = len(rel) // 2
-        for i in range(half if len(rel) in (2, 4) else 0):
-            r = rel[i:] + rel[:i]
-            u = r[1:half]
-            if (r[half][1] == -r[0][1]
-                    and r[half + 1:] == tuple((g, -e) for g, e in reversed(u))):
-                return r[0][0], r[half][0]
-        return None
-
     letters = [(g, e) for g in range(3) for e in (1, -1)]
     words = [w for k in range(7) for w in product(letters[:4], repeat=k)]
     words += product(letters, repeat=4)
     for rel in words:
-        assert _kernel._conjugate_pair(rel) == oracle(rel), rel
+        assert (_kernel._conjugate_pair(rel)
+                == helpers.conjugate_pair_oracle(rel)), rel
 
 
 def _kink_diagrams():
@@ -1074,9 +1100,10 @@ def test_a_restricted_level_spends_its_class_size():
 
 
 def test_unrestricted_calls_search_every_level_over_the_group():
-    # Ab branches on y1 after y3, its conjugate; A and eps3 have no such
-    # level, so the class lookup keeps their search trees.
-    for name, restricted in (("Ab", True), ("A", False), ("eps3", False)):
+    # A branches on y1 after y2, its conjugate.  eps3 has no crossing, so
+    # no level of its plan has a known conjugate, and the class lookup
+    # keeps its search tree.
+    for name, restricted in (("A", True), ("eps3", False)):
         plan = _compiled(presentation(builtin(name)))
         assert any(level.conj is not None for level in plan.levels) == restricted
         free = _conj_free(plan)
@@ -1101,23 +1128,23 @@ def test_search_tree_is_pinned(deep):
     # Node counts of three paper-table counts; a kernel change that keeps
     # them visits the same search tree and spends --budget the same way.
     a, a_as = builtin("A"), concat(builtin("A"), builtin("As"))
-    assert count_classes_burnside(presentation(a), 5).nodes == 20_693
-    # A has no level with a known conjugate; A·As branches on x4, a
-    # conjugate of x2, over x2's class.
-    assert count_classes_burnside(presentation(a_as), 5).nodes == 25_638
+    # A branches on y1 over y2's class; A·As also on x4, a conjugate of
+    # x2, over x2's class.
+    assert count_classes_burnside(presentation(a), 5).nodes == 3_500
+    assert count_classes_burnside(presentation(a_as), 5).nodes == 8_445
     aa = presentation(concat(a, a))
     assert helpers.unreduced_class_count(aa, 4).nodes == 30_552
     # Enumeration searches count_total's tree: the split's terms, once each.
-    assert count_classes_enumerate(aa, 4).nodes == 1_357
-    assert count_total(aa, 4, budget=1_357) == 1056
+    assert count_classes_enumerate(aa, 4).nodes == 554
+    assert count_total(aa, 4, budget=554) == 1056
     with pytest.raises(BudgetExceededError):
-        count_total(aa, 4, budget=1_356)
+        count_total(aa, 4, budget=553)
     if deep:
         # The products A·A and A·Ab that only Sym(6) tells apart.
         for x, want in (("A", (3111, 2_052_000)), ("Ab", (3255, 2_155_680))):
             p = presentation(concat(a, builtin(x)))
-            for method, nodes in ((count_classes_enumerate, 785_612),
-                                  (count_classes_burnside, 812_538)):
+            for method, nodes in ((count_classes_enumerate, 219_105),
+                                  (count_classes_burnside, 225_237)):
                 r = method(p, 6)
                 assert (r.class_count, r.total_homs, r.nodes) == (*want, nodes)
 
@@ -1130,12 +1157,30 @@ def test_a_into_sym7_is_pinned(deep):
     p = presentation(builtin("A"))
     e, b = count_classes_both(p, 7)  # one table of Sym(7) for both
     assert (e.class_count, e.total_homs, e.nodes) == (7287, 33_586_560,
-                                                      28_118_160)
+                                                      2_837_929)
     assert (b.class_count, b.total_homs, b.nodes) == (7287, 33_586_560,
-                                                      28_342_205)
+                                                      2_856_586)
     # Hall's formula on the same total: A has 37353 subgroups of index 7.
     totals = [count_total(p, n) for n in range(1, 7)] + [b.total_homs]
     assert helpers.subgroup_counts(totals)[6] == 37353
+
+
+def test_products_into_sym7_are_pinned(deep):
+    # Past the paper, which stops at Sym(6).  Both methods agree on each
+    # product, and the class counts alone tell all four apart.  Each row's
+    # total gives its subgroups of index 7 by Hall's formula.
+    if not deep:
+        pytest.skip("the A·X products into Sym(7) run only under --deep")
+    for x, want, a7 in (("A", (15_796, 74_566_800), 80781),
+                        ("Ab", (15_201, 71_568_000), 75608),
+                        ("As", (20_110, 96_188_400), 107829),
+                        ("Abs", (16_452, 77_994_000), 85667)):
+        p = presentation(concat(builtin("A"), builtin(x)))
+        e, b = count_classes_both(p, 7)
+        assert (e.class_count, e.total_homs, e.nodes) == (*want, 6_776_035), x
+        assert (b.class_count, b.total_homs, b.nodes) == (*want, 6_820_542), x
+        totals = [count_total(p, n) for n in range(1, 7)] + [b.total_homs]
+        assert helpers.subgroup_counts(totals)[6] == a7, x
 
 
 # ---------------------------------------------------------------------------
